@@ -21,7 +21,11 @@ DEFAULT_LIMIT_CAP = 200_000_000
 
 @dataclass(frozen=True)
 class ArithTable:
-    """Smallest-prime-factor table for 2..limit plus derived prime data."""
+    """Smallest-prime-factor table for 2..limit plus derived prime data.
+
+    ``build_arith_table`` marks every array read-only, so one table can be
+    shared between readers and threads.
+    """
 
     limit: int
     smallest_factor: np.ndarray  # int32/int64, smallest_factor[n] | n, prime
@@ -150,19 +154,7 @@ def build_arith_table(n_max: int,
     idx = np.arange(n_max + 1, dtype=dtype)
     prime_flags[2:] = spf[2:] == idx[2:]
     primes = np.nonzero(prime_flags)[0].astype(np.int64)
+    for arr in (spf, prime_flags, primes):
+        arr.flags.writeable = False
     return ArithTable(limit=n_max, smallest_factor=spf,
                       prime_flags=prime_flags, primes=primes)
-
-
-# Module-level wrappers matching the functional call style used elsewhere.
-
-def von_mangoldt(table: ArithTable, n: int) -> float:
-    return table.von_mangoldt(n)
-
-
-def moebius(table: ArithTable, n: int) -> int:
-    return table.moebius(n)
-
-
-def primes_between(table: ArithTable, lo: int, hi: int) -> np.ndarray:
-    return table.primes_between(lo, hi)

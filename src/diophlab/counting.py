@@ -28,17 +28,13 @@ import numpy as np
 from .arith import ArithTable
 from .errors import ContractError, RangeError, ResourceCapError
 from .fixedreal import FRAC_BITS, FRAC_MASK, CVector, FixedReal
+from .fourier import frac_multiples
 
 #: Largest N for which witness_integral defaults to the exact integer path.
 EXACT_INTEGRAL_DEFAULT_LIMIT = 20_000
 
 #: Default cap on enumerated error-sum lattice points.
 DEFAULT_SIEVE_CAP = 20_000_000
-
-try:  # the JIT kernel is a pure speedup; the numpy path below is equivalent
-    from numba import njit as _njit
-except ImportError:  # pragma: no cover
-    _njit = None
 
 
 def _dyadic_scaled(x: float, bits: int) -> int:
@@ -347,6 +343,22 @@ def _integral_exact(a, b, cfg: ApproxConfig, N: int,
     return total
 
 
+def _index_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The indices of [starts[0], stops[0]), [starts[1], stops[1]), ... in order."""
+    lens = stops - starts
+    return np.arange(int(lens.sum())) + np.repeat(starts - (np.cumsum(lens) - lens),
+                                                  lens)
+
+
+def _pair_ranges(primes: np.ndarray, pf: np.ndarray, a: float, b: float):
+    """Index range [lo, hi) into primes of the r in [a*p - 1, b*p + 1], per p."""
+    lo = np.searchsorted(primes, np.floor(a * pf - 1.0).astype(np.int64),
+                         side="left")
+    hi = np.searchsorted(primes, np.ceil(b * pf + 1.0).astype(np.int64),
+                         side="right")
+    return lo, hi
+
+
 def _pair_chunks(primes: np.ndarray, ps: np.ndarray, a: float, b: float,
                  pair_budget: int):
     """Yield (p_rep, r) float64 pair arrays, bounded by a per-chunk budget.
@@ -355,10 +367,7 @@ def _pair_chunks(primes: np.ndarray, ps: np.ndarray, a: float, b: float,
     chunk boundaries are chosen so memory stays flat as p grows.
     """
     pf_all = ps.astype(np.float64)
-    lo_idx = np.searchsorted(primes, np.floor(a * pf_all - 1.0).astype(np.int64),
-                             side="left")
-    hi_idx = np.searchsorted(primes, np.ceil(b * pf_all + 1.0).astype(np.int64),
-                             side="right")
+    lo_idx, hi_idx = _pair_ranges(primes, pf_all, a, b)
     lens = hi_idx - lo_idx
     cum = np.cumsum(lens)
     start = 0
@@ -366,87 +375,119 @@ def _pair_chunks(primes: np.ndarray, ps: np.ndarray, a: float, b: float,
         base = cum[start - 1] if start else 0
         stop = int(np.searchsorted(cum, base + pair_budget, side="left")) + 1
         stop = min(max(stop, start + 1), ps.size)
-        blk_lens = lens[start:stop]
-        total = int(blk_lens.sum())
-        if total:
-            starts = np.concatenate(([0], np.cumsum(blk_lens)))[:-1]
-            gather = (np.arange(total) - np.repeat(starts, blk_lens)
-                      + np.repeat(lo_idx[start:stop], blk_lens))
-            r = primes[gather].astype(np.float64)
-            p_rep = np.repeat(pf_all[start:stop], blk_lens)
-            yield p_rep, r
+        r = primes[_index_ranges(lo_idx[start:stop],
+                                 hi_idx[start:stop])].astype(np.float64)
+        if r.size:
+            yield np.repeat(pf_all[start:stop], lens[start:stop]), r
         start = stop
 
 
-def _d1_band_sum_numpy(primes: np.ndarray, ps: np.ndarray, a: float, b: float,
-                       c: float, exponent: float,
-                       pair_budget: int = 4_000_000) -> float:
-    chunks = []
-    for p_rep, r in _pair_chunks(primes, ps, a, b, pair_budget):
-        eta_rep = p_rep ** exponent
-        s = np.maximum(r, a * p_rep)
-        t = np.minimum(r + eta_rep, b * p_rep)
-        np.maximum(t, s, out=t)  # clamp empty intervals to zero length
-        cs = c * s
-        ct = c * t
-        fs = np.floor(cs)
-        ft = np.floor(ct)
-        contrib = (ft - fs) * eta_rep
-        contrib += np.minimum(ct - ft, eta_rep)
-        contrib -= np.minimum(cs - fs, eta_rep)
-        contrib /= c
-        # remove the floor(c*beta) == 0 band [0, eta/c)
-        band = np.minimum(t, eta_rep / c)
-        band -= s
-        np.clip(band, 0.0, None, out=band)
-        contrib -= band
-        contrib /= p_rep
-        chunks.append(float(np.sum(contrib)))
-    return math.fsum(chunks)
+def _d1_pair_terms(p: np.ndarray, r: np.ndarray, a: float, b: float, c: float,
+                   eta: np.ndarray) -> np.ndarray:
+    """Closed-form d=1 term of each (p, r) pair, any position in the window.
+
+    For beta = p*alpha in [s, t) = [max(r, a p), min(r + eta, b p)), the
+    measure of {frac(c beta) < eta, floor(c beta) >= 1} is (F(c t) - F(c s))/c
+    minus the floor-zero band [0, eta/c), where F(w) = floor(w)*eta +
+    min(frac(w), eta); the term is that measure over p.
+    """
+    s = np.maximum(r, a * p)
+    t = np.minimum(r + eta, b * p)
+    np.maximum(t, s, out=t)  # clamp empty intervals to zero length
+    cs = c * s
+    ct = c * t
+    fs = np.floor(cs)
+    ft = np.floor(ct)
+    v = (ft - fs) * eta + np.minimum(ct - ft, eta) - np.minimum(cs - fs, eta)
+    band = np.clip(np.minimum(t, eta / c) - s, 0.0, None)
+    return (v / c - band) / p
 
 
-def _d1_band_sum_scalar(primes_f, lo_idx, hi_idx, ps_f, a, b, c, exponent):
-    """Scalar kernel over (p, r) pairs; JIT-compiled when numba is present."""
-    total = 0.0
-    for i in range(ps_f.size):
-        p = ps_f[i]
-        eta = p ** exponent
-        ap = a * p
-        bp = b * p
-        band_cut = eta / c
-        acc = 0.0
-        for k in range(lo_idx[i], hi_idx[i]):
-            r = primes_f[k]
-            s = r if r > ap else ap
-            t = r + eta
-            if bp < t:
-                t = bp
-            if t <= s:
-                continue
-            cs = c * s
-            ct = c * t
-            fs = math.floor(cs)
-            ft = math.floor(ct)
-            v = (ft - fs) * eta
-            d1 = ct - ft
-            v += d1 if d1 < eta else eta
-            d0 = cs - fs
-            v -= d0 if d0 < eta else eta
-            v /= c
-            if s < band_cut:  # floor(c*beta) == 0 band
-                hi_band = t if t < band_cut else band_cut
-                if hi_band > s:
-                    v -= hi_band - s
-            acc += v
-        total += acc / p
-    return total
+def _dominance_sums(x: np.ndarray, i: np.ndarray,
+                    v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Offline 2D dominance sums: for every query k, the count and the sum
+    of x_j over j < i[k] with x_j < v[k].
+
+    [0, i) splits into one aligned block of 2**k positions per set bit k of
+    i, as in a Fenwick tree.  Level k sorts the ranks of x within its
+    blocks, keyed block*n + rank so one searchsorted serves every block,
+    and keeps the running sum of x in that order.  O(n log n) for the
+    levels plus O(log n) searches per query, all vectorized.
+    """
+    n = x.size
+    order = np.argsort(x, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    sorted_x = x[order]
+    t = np.searchsorted(sorted_x, v, side="left")  # x_j < v iff rank_j < t
+    count = np.zeros(i.size, dtype=np.int64)
+    total = np.zeros(i.size)
+    key = np.arange(n, dtype=np.int64) * n + rank
+    for k in range(n.bit_length()):
+        if k:  # merge sibling blocks: timsort sees two sorted runs each
+            key = np.sort((key // n >> 1) * n + key % n, kind="stable")
+        sel = np.nonzero((i >> k) & 1)[0]
+        if not sel.size:
+            continue
+        run = np.concatenate(([0.0], np.cumsum(sorted_x[key % n])))
+        start = i[sel] >> (k + 1) << (k + 1)
+        pos = np.searchsorted(key, (start >> k) * n + t[sel], side="left")
+        count[sel] += pos - start
+        total[sel] += run[pos] - run[start]
+    return count, total
 
 
-if _njit is not None:
-    _d1_band_sum_jit = _njit(cache=True, fastmath=False,
-                             nogil=True)(_d1_band_sum_scalar)
-else:  # pragma: no cover
-    _d1_band_sum_jit = None
+def _d1_band_sum(primes: np.ndarray, ps: np.ndarray, a: float, b: float,
+                 c_fixed: FixedReal, exponent: float) -> float:
+    """Sum over p in ps and prime r of the d=1 pair terms, without visiting pairs.
+
+    An interior pair (r >= a p, r >= eta/c, r + eta <= b p) has the term
+    g_p(x_r)/(c p), with x_r = frac(c r) and g_p(x) = F(x + c eta) -
+    min(x, eta).  On [0, 1) that is a signed sum of ramps (x - u)_+ at
+    u = 0, eta, m - c eta and m + eta - c eta, so the sum over a prime's
+    contiguous interior range of r reduces to a count and a sum of x_r
+    above each u, answered for all primes at once by dominance sums.
+    The few boundary pairs per p keep the closed form.
+    """
+    if not ps.size:
+        return 0.0
+    c = c_fixed.to_float()
+    pf = ps.astype(np.float64)
+    eta = pf ** exponent
+    lo, hi = _pair_ranges(primes, pf, a, b)
+    # interior pairs: float thresholds, as eta/c overflows int64 for tiny c
+    i0 = np.minimum(np.searchsorted(primes, np.maximum(a * pf, eta / c),
+                                    side="left"), hi)
+    i1 = np.maximum(np.searchsorted(primes, b * pf - eta, side="right"), i0)
+
+    starts, stops = np.concatenate((lo, i1)), np.concatenate((i0, hi))
+    lens = stops - starts
+    edge = _d1_pair_terms(np.repeat(np.tile(pf, 2), lens),
+                          primes[_index_ranges(starts, stops)].astype(np.float64),
+                          a, b, c, np.repeat(np.tile(eta, 2), lens))
+
+    x = frac_multiples(c_fixed, primes[:int(i1.max())])
+    run = np.concatenate(([0.0], np.cumsum(x)))
+    count = (i1 - i0).astype(np.float64)
+    total = run[i1] - run[i0]
+    # g_p(x) = sum_m [(x - m + c eta)_+ - (x - m - eta + c eta)_+] - x + (x - eta)_+
+    m = np.arange(int(math.ceil(c * eta.max())) + 2, dtype=np.float64)
+    ceta = (c * eta)[:, None]
+    u = np.concatenate((np.zeros_like(ceta), eta[:, None], m - ceta,
+                        m + eta[:, None] - ceta), axis=1)
+    w = np.concatenate(([-1.0, 1.0], np.ones(m.size), -np.ones(m.size)))
+    # sum of (x - u)_+ over the range: S - u n for u <= 0, zero for u >= 1
+    ramps = np.where(u <= 0.0, total[:, None] - u * count[:, None], 0.0)
+    rows, cols = np.nonzero((u > 0.0) & (u < 1.0))
+    v = u[rows, cols]
+    below_n, below_s = _dominance_sums(x, np.concatenate((i1[rows], i0[rows])),
+                                       np.concatenate((v, v)))
+    k = rows.size
+    below_n = below_n[:k] - below_n[k:]
+    below_s = below_s[:k] - below_s[k:]
+    ramps[rows, cols] = (total[rows] - below_s) - v * (count[rows] - below_n)
+    inner = ramps @ w / (c * pf)
+    return math.fsum(np.concatenate((edge, inner)))
 
 
 def _integral_fast_d1(a: float, b: float, cfg: ApproxConfig, N: int,
@@ -456,11 +497,13 @@ def _integral_fast_d1(a: float, b: float, cfg: ApproxConfig, N: int,
     Uses the closed form: for beta = p*alpha in [s, t), the measure of
     {frac(c*beta) < eta, floor(c*beta) >= 1} is (F(c t) - F(c s))/c minus
     the floor-zero band, where F(x) = floor(x)*eta + min(frac(x), eta).
-    Per-term absolute error is ~|endpoint|*2**-52; accumulated error is
-    far below 1e-6 relative at the scales this path serves.
+    The (p, r) prime pairs are represented, not visited: each prime's
+    interior pairs are summed by offline dominance sums over x_r =
+    frac(c r), taken exactly from the fixed-point slope, at a cost of
+    O(pi(bN) log pi(bN)).  Per-term absolute error is ~|endpoint|*2**-52;
+    accumulated error is far below 1e-6 relative at the scales this path
+    serves.
     """
-    c = cfg.c.entries[0].to_float()
-    exponent = cfg.exponent
     primes = table.primes
     i = np.searchsorted(primes, 2, side="left")
     j = np.searchsorted(primes, N, side="right")
@@ -470,18 +513,7 @@ def _integral_fast_d1(a: float, b: float, cfg: ApproxConfig, N: int,
         raise RangeError(
             f"table limit {table.limit} too small; need >= {r_hi_needed}"
         )
-    if _d1_band_sum_jit is not None:
-        pf_all = ps.astype(np.float64)
-        lo_idx = np.searchsorted(primes,
-                                 np.floor(a * pf_all - 1.0).astype(np.int64),
-                                 side="left")
-        hi_idx = np.searchsorted(primes,
-                                 np.ceil(b * pf_all + 1.0).astype(np.int64),
-                                 side="right")
-        primes_f = table.primes.astype(np.float64)
-        return float(_d1_band_sum_jit(primes_f, lo_idx, hi_idx, pf_all,
-                                      a, b, c, exponent))
-    return _d1_band_sum_numpy(primes, ps, a, b, c, exponent)
+    return _d1_band_sum(primes, ps, a, b, cfg.c.entries[0], cfg.exponent)
 
 
 def _integral_fast_general(a: float, b: float, cfg: ApproxConfig, N: int,

@@ -118,6 +118,8 @@ def lower_bound_check(a: float, b: float, n_grid: list[int], cfg: ApproxConfig,
     ratio = integral / ((b-a) * target).  The strict nondecreasing flag and
     the pinned-drift regression flag both cover the top half of the grid.
     """
+    if not n_grid:
+        raise ContractError("N grid must not be empty")
     if sorted(n_grid) != list(n_grid):
         raise ContractError("N grid must be ascending")
     if table is None:

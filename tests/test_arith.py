@@ -48,6 +48,13 @@ class TestBuild:
                 prod *= p**e
             assert prod == n
 
+    def test_arrays_read_only(self, table_small):
+        for arr in (table_small.smallest_factor, table_small.prime_flags,
+                    table_small.primes):
+            with pytest.raises(ValueError):
+                arr[2] = 0
+        assert table_small.primes[:3].tolist() == [2, 3, 5]
+
 
 class TestVonMangoldt:
     def test_prime_power(self, table_small):

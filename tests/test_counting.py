@@ -2,12 +2,16 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diophlab.counting import (
     ApproxConfig,
     SieveSideParams,
     WindowParams,
+    _pair_chunks,
     count_witnesses,
     product_set,
     revalidate_tuple,
@@ -33,6 +37,47 @@ def _trial_prime(m: int) -> bool:
             return False
         i += 1
     return True
+
+
+def reference_d1_band_sum(primes, ps, a, b, c, exponent, pair_budget=4_000_000):
+    """The pair-by-pair d=1 fast kernel the dominance-sum kernel replaced:
+    the closed form evaluated on every (p, r) pair, in bounded chunks."""
+    chunks = []
+    for p_rep, r in _pair_chunks(primes, ps, a, b, pair_budget):
+        eta_rep = p_rep ** exponent
+        s = np.maximum(r, a * p_rep)
+        t = np.minimum(r + eta_rep, b * p_rep)
+        np.maximum(t, s, out=t)  # clamp empty intervals to zero length
+        cs = c * s
+        ct = c * t
+        fs = np.floor(cs)
+        ft = np.floor(ct)
+        contrib = (ft - fs) * eta_rep
+        contrib += np.minimum(ct - ft, eta_rep)
+        contrib -= np.minimum(cs - fs, eta_rep)
+        contrib /= c
+        # remove the floor(c*beta) == 0 band [0, eta/c)
+        band = np.minimum(t, eta_rep / c)
+        band -= s
+        np.clip(band, 0.0, None, out=band)
+        contrib -= band
+        contrib /= p_rep
+        chunks.append(float(np.sum(contrib)))
+    return math.fsum(chunks)
+
+
+#: Slopes for the d=1 kernel comparison: the named constants, a dyadic
+#: below 1/2 (floor-zero band, r < eta/c) and one with c*eta > 2, where the
+#: breakpoints of g_p wrap around [0, 1) more than once.
+D1_SLOPES = ("phi", "sqrt2", "sqrt3", 0.1875, 7.25)
+
+
+@st.composite
+def dyadic_windows(draw):
+    j = draw(st.integers(0, 4))
+    lo = draw(st.integers(0, 2**j - 1))
+    hi = draw(st.integers(lo + 1, 2**j))
+    return 1.0 + lo / 2**j, 1.0 + hi / 2**j
 
 
 def naive_count(alpha, cfg, n_max):
@@ -168,6 +213,45 @@ class TestWitnessIntegral:
         fa = witness_integral(1.0, 2.0, golden_cfg, 4096, table_small,
                               method="fast")
         assert fa == pytest.approx(float(ex), rel=1e-9)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(slope=st.sampled_from(D1_SLOPES), window=dyadic_windows(),
+           N=st.integers(2, 2**14),
+           eps=st.floats(1e-3, 0.2, exclude_max=True))
+    def test_fast_d1_matches_pair_kernel(self, table_small, slope, window, N,
+                                         eps):
+        c = (constant(slope) if isinstance(slope, str)
+             else FixedReal.from_float(slope))
+        cfg = ApproxConfig(c=CVector((c,), 1.0), epsilon=eps, A=1.0, B=2.0)
+        a, b = window
+        got = witness_integral(a, b, cfg, N, table_small, method="fast")
+        primes = table_small.primes
+        want = reference_d1_band_sum(primes, primes[primes <= N], a, b,
+                                     c.to_float(), cfg.exponent)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_fast_d1_tiny_n(self, golden_cfg, table_small):
+        for N in (0, 1):
+            assert witness_integral(1.0, 2.0, golden_cfg, N, table_small,
+                                    method="fast") == 0.0
+        for N in (2, 3):
+            ex = witness_integral(1.0, 2.0, golden_cfg, N, table_small,
+                                  method="exact")
+            fa = witness_integral(1.0, 2.0, golden_cfg, N, table_small,
+                                  method="fast")
+            assert ex > 0
+            assert fa == pytest.approx(float(ex), rel=1e-9)
+
+    def test_fast_d1_tiny_slopes(self, table_small):
+        # eta/c runs past every prime, and past 2**63 at c = 2**-128
+        for raw in (1, 1 << 60, 1 << 120):
+            cfg = ApproxConfig(c=CVector((FixedReal(raw),), 1.0), epsilon=0.1,
+                               A=1.0, B=2.0)
+            ex = witness_integral(1.0, 2.0, cfg, 2000, table_small,
+                                  method="exact")
+            fa = witness_integral(1.0, 2.0, cfg, 2000, table_small,
+                                  method="fast")
+            assert fa == pytest.approx(float(ex), rel=1e-9, abs=1e-12)
 
     def test_fast_matches_exact_d2(self, two_dim_cfg, table_small):
         ex = witness_integral(1.0, 2.0, two_dim_cfg, 2000, table_small,

@@ -66,6 +66,11 @@ class TestLowerBound:
             lower_bound_check(1.0, 2.0, [4096, 1024], golden_cfg,
                               table=table_small)
 
+    def test_grid_must_not_be_empty(self, golden_cfg, table_small):
+        for table in (None, table_small):
+            with pytest.raises(ContractError):
+                lower_bound_check(1.0, 2.0, [], golden_cfg, table=table)
+
 
 class TestUpperBound:
     def test_k_est_zero_at_tiny_n(self, golden_cfg, table_small):
