@@ -19,6 +19,7 @@ fast path covers ranges where the exact path would be too slow.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -190,13 +191,18 @@ def count_witnesses(alpha: FixedReal, cfg: ApproxConfig, N: int,
         raise RangeError("N exceeds table limit")
     if N < 2:
         return 0, []
+    r_max = (N * alpha.raw) >> FRAC_BITS
+    if r_max > table.limit:
+        raise RangeError(
+            f"r up to floor(alpha*N)={r_max} exceeds table limit {table.limit}; "
+            f"build the table up to ceil(alpha*N)+1"
+        )
     exponent = cfg.exponent
     s0 = alpha.raw
     slopes = [ci.raw * alpha.raw for ci in cfg.c.entries]  # 256 frac bits
     mask256 = (1 << 256) - 1
     count = 0
     tuples: list[SolutionTuple] = []
-    limit = table.limit
     for p in table.primes_between(2, N):
         p = int(p)
         thr = int(math.ldexp(float(p) ** exponent, FRAC_BITS))
@@ -205,11 +211,6 @@ def count_witnesses(alpha: FixedReal, cfg: ApproxConfig, N: int,
         if not (0 < fr0 < thr):
             continue
         r = prod0 >> FRAC_BITS
-        if r > limit:
-            raise RangeError(
-                f"candidate r={r} exceeds table limit {limit}; "
-                f"build the table up to ceil(alpha*N)+1"
-            )
         if r < 2 or not table.prime_flags[r]:
             continue
         thr256 = thr << FRAC_BITS
@@ -269,6 +270,14 @@ def _scaled_endpoint(x, D: int) -> int:
     return num // fr.denominator
 
 
+def _check_table_covers(b, N: int, table: ArithTable) -> None:
+    """Raise RangeError unless the table reaches every r <= b*N + 1 that a
+    window integral over [a, b] with p <= N can pair with p."""
+    need = int(math.ceil(float(Fraction(b)) * N)) + 1
+    if need > table.limit:
+        raise RangeError(f"table limit {table.limit} too small; need >= {need}")
+
+
 def _exact_prime_segments(a, b, cfg: ApproxConfig, N: int, table: ArithTable):
     """Yield (p, D, segments) per prime, segments = [(lo, hi)] scaled by D.
 
@@ -285,11 +294,6 @@ def _exact_prime_segments(a, b, cfg: ApproxConfig, N: int, table: ArithTable):
     cofs = [pc // cr for cr in craws]
     a_f = float(Fraction(a))
     b_f = float(Fraction(b))
-    r_hi_needed = int(math.ceil(b_f * N)) + 1
-    if r_hi_needed > table.limit:
-        raise RangeError(
-            f"table limit {table.limit} too small; need >= {r_hi_needed}"
-        )
     base = pc << FRAC_BITS
     for p in table.primes_between(2, N):
         p = int(p)
@@ -361,25 +365,27 @@ def _pair_ranges(primes: np.ndarray, pf: np.ndarray, a: float, b: float):
 
 def _pair_chunks(primes: np.ndarray, ps: np.ndarray, a: float, b: float,
                  pair_budget: int):
-    """Yield (p_rep, r) float64 pair arrays, bounded by a per-chunk budget.
+    """Yield (p_rep, r) float64 pair arrays of at most pair_budget pairs each.
 
-    Pairs are all (p, r) with p in ps and r prime in [a*p - 1, b*p + 1];
-    chunk boundaries are chosen so memory stays flat as p grows.
+    Pairs are all (p, r) with p in ps and r prime in [a*p - 1, b*p + 1], in
+    order of p then r.  A chunk may end inside one prime's range of r, so
+    memory stays flat in N however many r one p pairs with.
     """
     pf_all = ps.astype(np.float64)
     lo_idx, hi_idx = _pair_ranges(primes, pf_all, a, b)
     lens = hi_idx - lo_idx
-    cum = np.cumsum(lens)
-    start = 0
-    while start < ps.size:
-        base = cum[start - 1] if start else 0
-        stop = int(np.searchsorted(cum, base + pair_budget, side="left")) + 1
-        stop = min(max(stop, start + 1), ps.size)
-        r = primes[_index_ranges(lo_idx[start:stop],
-                                 hi_idx[start:stop])].astype(np.float64)
-        if r.size:
-            yield np.repeat(pf_all[start:stop], lens[start:stop]), r
-        start = stop
+    ends = np.cumsum(lens)
+    begins = ends - lens
+    total = int(ends[-1]) if ends.size else 0
+    for start in range(0, total, pair_budget):
+        stop = min(start + pair_budget, total)
+        first = int(np.searchsorted(ends, start, side="right"))
+        last = int(np.searchsorted(ends, stop - 1, side="right")) + 1
+        seg_lo = np.maximum(begins[first:last], start)
+        seg_hi = np.minimum(ends[first:last], stop)
+        shift = lo_idx[first:last] - begins[first:last]
+        r = primes[_index_ranges(seg_lo + shift, seg_hi + shift)]
+        yield np.repeat(pf_all[first:last], seg_hi - seg_lo), r.astype(np.float64)
 
 
 def _d1_pair_terms(p: np.ndarray, r: np.ndarray, a: float, b: float, c: float,
@@ -505,64 +511,59 @@ def _integral_fast_d1(a: float, b: float, cfg: ApproxConfig, N: int,
     serves.
     """
     primes = table.primes
-    i = np.searchsorted(primes, 2, side="left")
-    j = np.searchsorted(primes, N, side="right")
-    ps = primes[i:j]
-    r_hi_needed = int(math.ceil(b * N)) + 1
-    if r_hi_needed > table.limit:
-        raise RangeError(
-            f"table limit {table.limit} too small; need >= {r_hi_needed}"
-        )
+    ps = primes[:np.searchsorted(primes, N, side="right")]
     return _d1_band_sum(primes, ps, a, b, cfg.c.entries[0], cfg.exponent)
 
 
 def _integral_fast_general(a: float, b: float, cfg: ApproxConfig, N: int,
-                           table: ArithTable, pair_budget: int = 1_000_000) -> float:
-    """Vectorized float64 evaluation for general d via q-candidate clipping."""
-    cs = np.array(cfg.c.floats())
+                           table: ArithTable, pair_budget: int = 1 << 14) -> float:
+    """Vectorized float64 evaluation for d >= 2, streamed box by box.
+
+    A pair (p, r) admits alpha in [lo, hi) = [max(r/p, a), min((r + eta)/p,
+    b)), empty when hi <= lo; dimension i admits the windows
+    [q/(c_i p), (q + eta)/(c_i p)) with q >= 1.  As eta < 1 and
+    hi - lo <= eta/p, only the n_cand_i = floor(c_i eta_max) + 2 candidates
+    q = floor(c_i p lo) + k can meet [lo, hi).  Each dimension's candidate
+    windows are clipped to [lo, hi) once per chunk, and the pair's term is
+    the sum over the candidate boxes (q_1..q_d) of
+    max(0, min(h_1..h_d) - max(l_1..l_d)): the boxes of the first d - 1
+    dimensions are walked one at a time, the last dimension's candidates
+    side by side, in two reused buffers.  Memory is
+    O(pair_budget * sum n_cand_i), flat in N; the pairs are still visited.
+    """
     exponent = cfg.exponent
     primes = table.primes
-    i = np.searchsorted(primes, 2, side="left")
-    j = np.searchsorted(primes, N, side="right")
-    ps = primes[i:j]
-    r_hi_needed = int(math.ceil(b * N)) + 1
-    if r_hi_needed > table.limit:
-        raise RangeError(
-            f"table limit {table.limit} too small; need >= {r_hi_needed}"
-        )
+    ps = primes[:np.searchsorted(primes, N, side="right")]
     eta_max = 2.0 ** exponent  # largest threshold, attained at p = 2
+    cs = cfg.c.floats()
     n_cand = [int(math.floor(ci * eta_max)) + 2 for ci in cs]
-    chunks = []
+    sums = []
     for p_rep, r in _pair_chunks(primes, ps, a, b, pair_budget):
         eta_rep = p_rep ** exponent
         lo = np.maximum(r / p_rep, a)
         hi = np.minimum((r + eta_rep) / p_rep, b)
-        live = hi > lo
-        if not live.any():
-            continue
-        lo, hi = lo[live], hi[live]
-        p_live = p_rep[live]
-        eta_live = eta_rep[live]
-        # accumulate interval pieces across dimensions; each dimension may
-        # split an interval over a few neighbouring q values
-        pieces_lo = lo[None, :]
-        pieces_hi = hi[None, :]
+        lows, highs = [], []  # per dimension, one row per candidate q
         for ci, cand in zip(cs, n_cand):
-            q0 = np.floor(ci * p_live * pieces_lo)
-            new_lo, new_hi = [], []
-            for k in range(cand):
-                q = q0 + k
-                ok = q >= 1.0
-                l_k = np.maximum(pieces_lo, q / (ci * p_live))
-                h_k = np.minimum(pieces_hi, (q + eta_live) / (ci * p_live))
-                l_k = np.where(ok, l_k, np.inf)
-                new_lo.append(l_k)
-                new_hi.append(h_k)
-            pieces_lo = np.concatenate(new_lo, axis=0)
-            pieces_hi = np.concatenate(new_hi, axis=0)
-        overlap = np.clip(pieces_hi - pieces_lo, 0.0, None)
-        chunks.append(float(np.sum(overlap)))
-    return math.fsum(chunks)
+            cp = ci * p_rep
+            q = np.floor(cp * lo) + np.arange(cand, dtype=np.float64)[:, None]
+            low = q / cp
+            low[0, q[0] < 1.0] = np.inf  # floor-zero band: q < 1 only at k = 0
+            lows.append(np.maximum(low, lo, out=low))
+            q += eta_rep
+            q /= cp
+            highs.append(np.minimum(q, hi, out=q))
+        top = np.empty_like(highs[-1])
+        bottom = np.empty_like(lows[-1])
+        for ks in itertools.product(*map(range, n_cand[:-1])):
+            np.minimum(highs[-1], highs[0][ks[0]], out=top)
+            np.maximum(lows[-1], lows[0][ks[0]], out=bottom)
+            for i in range(1, len(ks)):
+                np.minimum(top, highs[i][ks[i]], out=top)
+                np.maximum(bottom, lows[i][ks[i]], out=bottom)
+            np.subtract(top, bottom, out=top)
+            np.maximum(top, 0.0, out=top)
+            sums.append(float(top.sum()))
+    return math.fsum(sums)
 
 
 def witness_integral(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
@@ -578,13 +579,14 @@ def witness_integral(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
         raise ContractError("need A <= a < b <= B")
     if method == "auto":
         method = "exact" if N <= EXACT_INTEGRAL_DEFAULT_LIMIT else "fast"
+    if method not in ("exact", "fast"):
+        raise ContractError(f"unknown method {method!r}")
+    _check_table_covers(b_fr, N, table)
     if method == "exact":
         return _integral_exact(a, b, cfg, N, table)
-    if method == "fast":
-        if cfg.d == 1:
-            return _integral_fast_d1(float(a_fr), float(b_fr), cfg, N, table)
-        return _integral_fast_general(float(a_fr), float(b_fr), cfg, N, table)
-    raise ContractError(f"unknown method {method!r}")
+    if cfg.d == 1:
+        return _integral_fast_d1(float(a_fr), float(b_fr), cfg, N, table)
+    return _integral_fast_general(float(a_fr), float(b_fr), cfg, N, table)
 
 
 def riemann_scan(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
@@ -599,6 +601,7 @@ def riemann_scan(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
     width = Fraction(b) - a_fr
     if width <= 0:
         raise ContractError("need a < b")
+    _check_table_covers(b, N, table)
     hits = 0
     intervals = 0
     for p, D, segments in _exact_prime_segments(a, b, cfg, N, table):

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,7 @@ from diophlab.counting import (
     SieveSideParams,
     WindowParams,
     _pair_chunks,
+    _pair_ranges,
     count_witnesses,
     product_set,
     revalidate_tuple,
@@ -64,6 +67,52 @@ def reference_d1_band_sum(primes, ps, a, b, c, exponent, pair_budget=4_000_000):
         contrib /= p_rep
         chunks.append(float(np.sum(contrib)))
     return math.fsum(chunks)
+
+
+def reference_fast_general(primes, ps, a, b, cs, exponent, pair_budget=1 << 14):
+    """The d >= 2 fast kernel the streamed one replaced: each dimension
+    splits every interval piece over its q candidates, taken from the
+    piece's lower end, and the pieces of all dimensions are kept at once."""
+    eta_max = 2.0 ** exponent
+    n_cand = [int(math.floor(ci * eta_max)) + 2 for ci in cs]
+    chunks = []
+    for p_rep, r in _pair_chunks(primes, ps, a, b, pair_budget):
+        eta_rep = p_rep ** exponent
+        lo = np.maximum(r / p_rep, a)
+        hi = np.minimum((r + eta_rep) / p_rep, b)
+        live = hi > lo
+        if not live.any():
+            continue
+        lo, hi = lo[live], hi[live]
+        p_live = p_rep[live]
+        eta_live = eta_rep[live]
+        pieces_lo = lo[None, :]
+        pieces_hi = hi[None, :]
+        for ci, cand in zip(cs, n_cand):
+            q0 = np.floor(ci * p_live * pieces_lo)
+            new_lo, new_hi = [], []
+            for k in range(cand):
+                q = q0 + k
+                ok = q >= 1.0
+                l_k = np.maximum(pieces_lo, q / (ci * p_live))
+                h_k = np.minimum(pieces_hi, (q + eta_live) / (ci * p_live))
+                l_k = np.where(ok, l_k, np.inf)
+                new_lo.append(l_k)
+                new_hi.append(h_k)
+            pieces_lo = np.concatenate(new_lo, axis=0)
+            pieces_hi = np.concatenate(new_hi, axis=0)
+        overlap = np.clip(pieces_hi - pieces_lo, 0.0, None)
+        chunks.append(float(np.sum(overlap)))
+    return math.fsum(chunks)
+
+
+#: Slopes for the d >= 2 kernel comparison: the named constants, a dyadic
+#: below 1 (q < 1 band at small p) and one above 2 (n_cand >= 4).
+GENERAL_SLOPES = ("phi", "sqrt2", "sqrt3", 0.1875, 3.25)
+
+
+def _slope(name):
+    return constant(name) if isinstance(name, str) else FixedReal.from_float(name)
 
 
 #: Slopes for the d=1 kernel comparison: the named constants, a dyadic
@@ -154,6 +203,20 @@ class TestCountWitnesses:
             assert got == want
             assert [(t.p, t.r, t.q) for t in tuples] == wit
 
+    def test_table_checked_before_scan(self, golden_cfg, monkeypatch):
+        from diophlab.arith import ArithTable, build_arith_table
+
+        alpha = FixedReal.from_float(1.5)  # floor(alpha * 900) = 1350
+        count_witnesses(alpha, golden_cfg, 900, build_arith_table(1350))
+        short = build_arith_table(1349)
+
+        def no_scan(*args):
+            raise AssertionError("scan started")
+
+        monkeypatch.setattr(ArithTable, "primes_between", no_scan)
+        with pytest.raises(RangeError, match=r"ceil\(alpha\*N\)\+1"):
+            count_witnesses(alpha, golden_cfg, 900, short)
+
     def test_golden_regression(self, golden_cfg, table_big):
         count, tuples = count_witnesses(constant("sqrt3"), golden_cfg, 10**6,
                                         table_big)
@@ -220,8 +283,7 @@ class TestWitnessIntegral:
            eps=st.floats(1e-3, 0.2, exclude_max=True))
     def test_fast_d1_matches_pair_kernel(self, table_small, slope, window, N,
                                          eps):
-        c = (constant(slope) if isinstance(slope, str)
-             else FixedReal.from_float(slope))
+        c = _slope(slope)
         cfg = ApproxConfig(c=CVector((c,), 1.0), epsilon=eps, A=1.0, B=2.0)
         a, b = window
         got = witness_integral(a, b, cfg, N, table_small, method="fast")
@@ -260,6 +322,57 @@ class TestWitnessIntegral:
                               method="fast")
         assert fa == pytest.approx(float(ex), rel=1e-9)
 
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(slopes=st.integers(2, 3).flatmap(
+               lambda d: st.lists(st.sampled_from(GENERAL_SLOPES),
+                                  min_size=d, max_size=d)),
+           window=dyadic_windows(), N=st.integers(2, 2**12),
+           eps_share=st.floats(1e-3, 1.0, exclude_max=True))
+    def test_fast_general_matches_expansion_kernel(self, table_small, slopes,
+                                                   window, N, eps_share):
+        d = len(slopes)
+        c = CVector(tuple(_slope(s) for s in slopes), float(d))
+        cfg = ApproxConfig(c=c, epsilon=eps_share / (d * (3 * d + 2)),
+                           A=1.0, B=2.0)
+        a, b = window
+        got = witness_integral(a, b, cfg, N, table_small, method="fast")
+        primes = table_small.primes
+        want = reference_fast_general(primes, primes[primes <= N], a, b,
+                                      c.floats(), cfg.exponent)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_fast_matches_exact_d3(self, table_small):
+        c = CVector((constant("sqrt2"), constant("sqrt3"), constant("phi")), 3.0)
+        cfg = ApproxConfig(c=c, epsilon=0.02, A=1.0, B=2.0)
+        ex = witness_integral(1.0, 2.0, cfg, 1000, table_small, method="exact")
+        fa = witness_integral(1.0, 2.0, cfg, 1000, table_small, method="fast")
+        assert fa == pytest.approx(float(ex), rel=1e-9)
+
+    def test_fast_d2_memory_flat(self, two_dim_cfg, table_small):
+        witness_integral(1.0, 2.0, two_dim_cfg, 2**10, table_small, method="fast")
+        tracemalloc.start()
+        try:
+            witness_integral(1.0, 2.0, two_dim_cfg, 2**14, table_small,
+                             method="fast")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_pair_chunks_cover_every_pair_once(self, table_small):
+        primes = table_small.primes
+        for N, a, b in ((2, 1.0, 2.0), (700, 1.0, 2.0), (1000, 1.25, 1.5)):
+            ps = primes[primes <= N]
+            lo, hi = _pair_ranges(primes, ps.astype(np.float64), a, b)
+            want = [(float(p), float(r)) for p, l, h in zip(ps, lo, hi)
+                    for r in primes[l:h]]
+            for budget in (1, 3, 100, 2**14):
+                chunks = list(_pair_chunks(primes, ps, a, b, budget))
+                assert all(0 < p.size == r.size <= budget for p, r in chunks)
+                got = list(itertools.chain.from_iterable(
+                    zip(p.tolist(), r.tolist()) for p, r in chunks))
+                assert got == want
+
     def test_interval_within_config(self, golden_cfg, table_small):
         with pytest.raises(ContractError):
             witness_integral(0.5, 2.0, golden_cfg, 100, table_small)
@@ -270,6 +383,19 @@ class TestWitnessIntegral:
         tiny = build_arith_table(500)
         with pytest.raises(RangeError):
             witness_integral(1.0, 2.0, golden_cfg, 400, tiny, method="exact")
+
+    def test_table_checked_at_every_entry(self, golden_cfg, two_dim_cfg):
+        from diophlab.arith import build_arith_table
+
+        tiny = build_arith_table(500)
+        for cfg in (golden_cfg, two_dim_cfg):
+            for method in ("exact", "fast", "auto"):
+                with pytest.raises(RangeError, match="need >= 601"):
+                    witness_integral(1.0, 2.0, cfg, 300, tiny, method=method)
+        with pytest.raises(RangeError, match="need >= 601"):
+            riemann_scan(1.0, 2.0, golden_cfg, 300, tiny, 100)
+        ok = build_arith_table(601)
+        assert witness_integral(1.0, 2.0, golden_cfg, 300, ok, method="fast") > 0
 
     def test_riemann_within_provable_bound(self, golden_cfg, table_small):
         points = 10**5
