@@ -51,7 +51,6 @@ from .fourier import (  # noqa: E402
     dyadic_weighted_min_sum,
     exp_sum,
     min_sum_with_bound,
-    psi_star_and_tau,
     sawtooth,
     vaaler_weight,
 )

@@ -29,7 +29,7 @@ import numpy as np
 from .arith import ArithTable
 from .errors import ContractError, RangeError, ResourceCapError
 from .fixedreal import FRAC_BITS, FRAC_MASK, CVector, FixedReal
-from .fourier import frac_multiples
+from .fourier import _min_terms, frac_multiples
 
 #: Largest N for which witness_integral defaults to the exact integer path.
 EXACT_INTEGRAL_DEFAULT_LIMIT = 20_000
@@ -626,30 +626,29 @@ def riemann_scan(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
 # Growth normalizer
 # ----------------------------------------------------------------------
 
+def _growth(cfg: ApproxConfig, N: int, cap: float) -> float:
+    """The growth normalizer with the slope minimum capped at ``cap``."""
+    if N < 2:
+        raise ContractError("need N >= 2")
+    d = cfg.d
+    m = min(*cfg.c.floats(), cap)
+    return ((cfg.A / cfg.B) ** 2 * m ** (d - 1) / 2 ** (d + 1)
+            * float(N) ** (1.0 - (d + 1) * (cfg.gamma - cfg.epsilon))
+            / math.log(N) ** 2)
+
+
 def target_growth(cfg: ApproxConfig, N: int) -> float:
     """The definition-level growth normalizer for the witness integral:
     (A/B)**2 * min(c_1..c_d, d)**(d-1) / 2**(d+1)
             * N**(1-(d+1)(gamma-eps)) / (log N)**2.
     """
-    if N < 2:
-        raise ContractError("need N >= 2")
-    d = cfg.d
-    m = min(*cfg.c.floats(), float(d)) if d > 1 else min(cfg.c.floats()[0], 1.0)
-    return ((cfg.A / cfg.B) ** 2 * m ** (d - 1) / 2 ** (d + 1)
-            * float(N) ** (1.0 - (d + 1) * (cfg.gamma - cfg.epsilon))
-            / math.log(N) ** 2)
+    return _growth(cfg, N, float(cfg.d))
 
 
 def target_growth_alt(cfg: ApproxConfig, N: int) -> float:
     """Variant normalizer with min(c_1..c_d, 2); equal to the main one
     for d = 2, reported alongside it as a diagnostic."""
-    if N < 2:
-        raise ContractError("need N >= 2")
-    d = cfg.d
-    m = min(*cfg.c.floats(), 2.0) if d > 1 else min(cfg.c.floats()[0], 2.0)
-    return ((cfg.A / cfg.B) ** 2 * m ** (d - 1) / 2 ** (d + 1)
-            * float(N) ** (1.0 - (d + 1) * (cfg.gamma - cfg.epsilon))
-            / math.log(N) ** 2)
+    return _growth(cfg, N, 2.0)
 
 
 # ----------------------------------------------------------------------
@@ -682,6 +681,11 @@ def window_counts(P: int, wp: WindowParams, cfg: ApproxConfig,
     n_hi = int(math.floor(wp.b * P))
     if n_hi > table.limit:
         raise RangeError("window end exceeds table limit")
+    # the primes p of the window [P, mu*P), mu*P itself excluded
+    mu_hi = wp.mu_window * P
+    r_hi = int(math.ceil(mu_hi)) - 1 if float(int(mu_hi)) == mu_hi else int(math.floor(mu_hi))
+    if r_hi > table.limit:
+        raise RangeError("prime window end mu*P exceeds table limit")
     if n_lo > n_hi:
         return WindowCounts(0.0, 0, 0, 0)
 
@@ -714,9 +718,7 @@ def window_counts(P: int, wp: WindowParams, cfg: ApproxConfig,
     for r in rs:
         s_count += factor_product(int(r))
 
-    mu_hi = wp.mu_window * P
-    r_hi = int(math.ceil(mu_hi)) - 1 if float(int(mu_hi)) == mu_hi else int(math.floor(mu_hi))
-    r_count = int(table.primes_between(P, min(r_hi, table.limit)).size) if r_hi >= P else 0
+    r_count = int(table.primes_between(P, r_hi).size) if r_hi >= P else 0
     return WindowCounts(weighted=weighted, prime_count=s_count,
                         primes_in_window=r_count,
                         solutions=r_count * s_count)
@@ -810,9 +812,7 @@ def _sieve_error_majorant(alpha: FixedReal, sp: SieveSideParams,
     inner = grid[:, 0] / t2 + grid[:, 1:] @ cs
     val = alpha.to_float() * t1 * inner
     dist = np.abs(val - np.round(val))
-    cap_val = sp.N / t1
-    with np.errstate(divide="ignore"):
-        terms = np.minimum(cap_val, np.where(dist > 0, 1.0 / np.where(dist > 0, dist, 1.0), np.inf))
+    terms = _min_terms(sp.N / t1, dist)
     return float(sp.mu_target ** (cfg.d + 1) / t2 * np.sum(terms))
 
 

@@ -364,9 +364,15 @@ class DiophCertificate:
     min_dist_v: tuple[int, ...]
 
 
-def _canonical_half(vecs):
-    """Keep one of {v, -v}: the representative whose first nonzero is > 0."""
-    for v in vecs:
+def half_box(spans):
+    """The v of ``itertools.product(*spans)`` whose first nonzero component
+    is positive, in product order.
+
+    For spans symmetric about 0 this keeps exactly one of each {v, -v} with
+    v != 0: the canonical half of the index box that the sums symmetric
+    under j -> -j enumerate and double.
+    """
+    for v in itertools.product(*spans):
         for comp in v:
             if comp > 0:
                 yield v
@@ -400,7 +406,7 @@ def dioph_certify(c: CVector, n_bound: int,
     best_dist_v = None
     span = range(-n_bound, n_bound + 1)
     shells: dict[int, list] = {}
-    for v in _canonical_half(itertools.product(span, repeat=d)):
+    for v in half_box([span] * d):
         shells.setdefault(max(abs(t) for t in v), []).append(v)
     for s in sorted(shells):
         weight = float(s) ** k

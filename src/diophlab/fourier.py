@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, RangeError, ResourceCapError
-from .fixedreal import FRAC_MASK, SCALE, CVector, FixedReal
+from .fixedreal import FRAC_MASK, SCALE, CVector, FixedReal, half_box
 
 TWO_PI = 2.0 * math.pi
 
@@ -89,11 +89,6 @@ class VaalerPolynomial:
         for j in range(1, self.degree + 1):
             acc += 2.0 * self.tau_coeffs[j] * np.cos(TWO_PI * j * xa)
         return acc if acc.shape else float(acc)
-
-
-def psi_star_and_tau(poly: VaalerPolynomial, x):
-    """Evaluate both polynomials of the approximation pair at x."""
-    return poly.psi_star(x), poly.tau(x)
 
 
 def fejer_tau(degree: int, x: np.ndarray) -> np.ndarray:
@@ -199,11 +194,10 @@ def exp_sum(n_lo: int, n_hi: int, theta: FixedReal) -> complex:
 # Min-sum estimators
 # ----------------------------------------------------------------------
 
-def _min_terms(x: float, m: np.ndarray, dists: np.ndarray) -> np.ndarray:
-    """min(x/m, 1/dist) with dist == 0 falling back to the x/m branch."""
+def _min_terms(cap, dists: np.ndarray) -> np.ndarray:
+    """min(cap, 1/dist), with dist == 0 giving cap (1/0 is inf)."""
     with np.errstate(divide="ignore"):
-        recip = np.where(dists > 0.0, 1.0 / np.where(dists > 0, dists, 1.0), np.inf)
-    return np.minimum(x / m, recip)
+        return np.minimum(cap, 1.0 / dists)
 
 
 def min_sum_with_bound(L: int, x: float, c: FixedReal,
@@ -222,23 +216,9 @@ def min_sum_with_bound(L: int, x: float, c: FixedReal,
         raise ContractError("need L >= 1 and x > 1")
     ls = np.arange(1, L + 1, dtype=np.int64)
     dists = dist_multiples(c, ls)
-    lhs = float(np.sum(_min_terms(x, ls.astype(np.float64), dists)))
+    lhs = float(np.sum(_min_terms(x / ls.astype(np.float64), dists)))
     rhs = (x / q + L + q) * math.log(2.0 * L * q * x)
     return lhs, rhs
-
-
-def _half_box(h: tuple[int, ...]):
-    """Canonical representatives of the nonzero integer box (one of v, -v)."""
-    import itertools
-
-    spans = [range(-hi, hi + 1) for hi in h]
-    for v in itertools.product(*spans):
-        for comp in v:
-            if comp > 0:
-                yield v
-                break
-            if comp < 0:
-                break
 
 
 def box_min_sum(h: tuple[int, ...], m_max: int, x: float, c: CVector,
@@ -261,12 +241,12 @@ def box_min_sum(h: tuple[int, ...], m_max: int, x: float, c: CVector,
     if all(hi == 0 for hi in h):
         return 0.0
     ms = np.arange(1, m_max + 1, dtype=np.int64)
-    mf = ms.astype(np.float64)
+    x_over_m = x / ms.astype(np.float64)
     total = 0.0
-    for v in _half_box(h):
+    for v in half_box([range(-hi, hi + 1) for hi in h]):
         theta = FixedReal(sum(vi * ci.raw for vi, ci in zip(v, c.entries)))
         dists = dist_multiples(theta, ms)
-        total += float(np.sum(_min_terms(x, mf, dists)))
+        total += float(np.sum(_min_terms(x_over_m, dists)))
     return 2.0 * total
 
 
@@ -275,8 +255,8 @@ def dyadic_weighted_min_sum(m_max: int, x: float, degree: int, c: CVector,
     """Weighted min-sum over the full index box, with its closed-form bound.
 
     Exact side: sum over 1 <= |j_i| <= degree (all d coordinates) of
-    1/|j_1...j_d| * sum_{m<=M} min(x/m, dist(m * j.c)^-1), organized by
-    dyadic blocks 2**t <= |j_i| < 2**(t+1).  Bound side:
+    1/|j_1...j_d| * sum_{m<=M} min(x/m, dist(m * j.c)^-1), one of each
+    {j, -j} doubled.  Bound side:
     (log 2x)**(d+1) * (M + (x*degree)**(1 - 1/(k+1))).
     """
     d = c.d
@@ -284,31 +264,18 @@ def dyadic_weighted_min_sum(m_max: int, x: float, degree: int, c: CVector,
     if n_terms > cap:
         raise ResourceCapError(f"{n_terms} terms exceed cap {cap}")
     ms = np.arange(1, m_max + 1, dtype=np.int64)
-    mf = ms.astype(np.float64)
-
-    # magnitudes grouped into dyadic blocks [2**t, 2**(t+1)), clipped at degree
-    magnitudes = []
-    t = 1
-    while t <= degree:
-        magnitudes.extend(range(t, min(2 * t - 1, degree) + 1))
-        t *= 2
-
-    import itertools
-
+    x_over_m = x / ms.astype(np.float64)
+    # one of each {j, -j}: j_1 > 0, the other coordinates in the order
+    # 1, -1, 2, -2, ..., degree, -degree
+    signed = tuple(s * j for j in range(1, degree + 1) for s in (1, -1))
     exact = 0.0
-    # iterate over sign/magnitude combinations, halved by j -> -j symmetry
-    for mags in itertools.product(magnitudes, repeat=d):
+    for v in half_box([range(1, degree + 1)] + [signed] * (d - 1)):
         weight = 1.0
-        for m in mags:
-            weight /= m
-        for signs in itertools.product((1, -1), repeat=d):
-            v = tuple(s * m for s, m in zip(signs, mags))
-            first = next(comp for comp in v if comp != 0)
-            if first < 0:
-                continue  # counted via the mirror image
-            theta = FixedReal(sum(vi * ci.raw for vi, ci in zip(v, c.entries)))
-            dists = dist_multiples(theta, ms)
-            exact += 2.0 * weight * float(np.sum(_min_terms(x, mf, dists)))
+        for vi in v:
+            weight /= abs(vi)
+        theta = FixedReal(sum(vi * ci.raw for vi, ci in zip(v, c.entries)))
+        dists = dist_multiples(theta, ms)
+        exact += 2.0 * weight * float(np.sum(_min_terms(x_over_m, dists)))
     k = c.k
     bound = math.log(2.0 * x) ** (d + 1) * (
         m_max + (x * degree) ** (1.0 - 1.0 / (k + 1.0))

@@ -11,6 +11,7 @@ sequence and every reduction runs in a fixed order.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,10 +28,11 @@ from .counting import (
     witness_integral,
 )
 from .errors import ContractError
-from .fixedreal import FixedReal
+from .fixedreal import FixedReal, half_box
 from .parallel import map_ordered
 from .fourier import (
     VaalerPolynomial,
+    _min_terms,
     dist_multiples,
     fejer_tau,
     frac_multiples,
@@ -212,8 +214,13 @@ def bound_audit(P: int, cfg: ApproxConfig, table: ArithTable,
                 u: float | None = None) -> list[AuditRow]:
     """Evaluate each displayed inequality of the bilinear-sum chain exactly.
 
-    The exact sides are direct summations over the full index subset (all d
-    coordinates); the bound sides are the displayed closed forms.  Default
+    The exact sides are direct summations over the full index box
+    1 <= |j_i| <= J (all d coordinates); the bound sides are the displayed
+    closed forms.  The sums U_tilde, Z1, Z2 and Z2(L) are invariant under
+    j -> -j and share one pass over the half index box (``half_box``, each
+    term doubled).  Per theta = j.c, one pass over l computes the inner
+    Lambda-sums once: Z2 reads them as sum b(l) * inner, and each dyadic
+    block [L, min(2L, l_max)] of Z2(L) as sum |b(l)| * |inner|.  Default
     parameters follow the final choices: degree J = floor(P**(1/(3k+2))),
     split u = P**(2/5).
     """
@@ -238,13 +245,12 @@ def bound_audit(P: int, cfg: ApproxConfig, table: ArithTable,
     lam_s = lam[support]
 
     craws = [ci.raw for ci in cfg.c.entries]
-    c_floats = cfg.c.floats()
 
     # ---- T_A and U_A: sawtooth and polynomial product sums -------------
     poly = VaalerPolynomial.build(J)
     prod_psi = np.ones(ns.size)
     prod_star = np.ones(ns.size)
-    for ci_raw, ci_f in zip(craws, c_floats):
+    for ci_raw in craws:
         fr = frac_multiples(FixedReal(ci_raw), ns)
         # frac(c n + delta) from exact frac(c n); delta is a float offset
         fr_delta = (fr + delta) % 1.0
@@ -253,24 +259,6 @@ def bound_audit(P: int, cfg: ApproxConfig, table: ArithTable,
                       - poly.psi_star((-fr) % 1.0))
     t_a = float(np.sum(lam_s * prod_psi))
     u_a = float(np.sum(lam_s * prod_star))
-
-    # ---- U_A tilde: weighted Lambda exponential sums -------------------
-    import itertools
-
-    u_tilde = 0.0
-    for mags in itertools.product(range(1, J + 1), repeat=d):
-        weight = 1.0
-        for m in mags:
-            weight /= m
-        for signs in itertools.product((1, -1), repeat=d):
-            v = [s * m for s, m in zip(signs, mags)]
-            first = next(c for c in v if c != 0)
-            if first < 0:
-                continue  # |sum| is invariant under j -> -j
-            theta = FixedReal(sum(vi * cr for vi, cr in zip(v, craws)))
-            phases = frac_multiples(theta, ns)
-            z = np.sum(lam_s * np.exp(2j * np.pi * phases))
-            u_tilde += 2.0 * weight * abs(z)
 
     # ---- V_A exact and V_d tilde ---------------------------------------
     all_n = np.arange(n_lo, n_hi + 1, dtype=np.int64)
@@ -285,102 +273,83 @@ def bound_audit(P: int, cfg: ApproxConfig, table: ArithTable,
     js = np.arange(1, J + 1, dtype=np.int64)
     for ci_raw in craws:
         dists = dist_multiples(FixedReal(ci_raw), js)
-        with np.errstate(divide="ignore"):
-            recip = np.where(dists > 0, 1.0 / np.where(dists > 0, dists, 1.0),
-                             np.inf)
-        v_tilde += float(np.sum(np.minimum(P / js.astype(np.float64), recip)))
+        v_tilde += float(np.sum(_min_terms(P / js.astype(np.float64), dists)))
 
-    # ---- Z1: smooth bilinear sums with exact suffix maxima -------------
+    # ---- the l-ranges of Z1, Z2 and Z2(L) ------------------------------
+    # Z1: the m-window of each 1 <= l <= u**2
     u_sq = int(uu * uu)
-    z1 = 0.0
-    for mags in itertools.product(range(1, J + 1), repeat=d):
-        weight = 1.0
-        for m in mags:
-            weight /= m
-        for signs in itertools.product((1, -1), repeat=d):
-            v = [s * m for s, m in zip(signs, mags)]
-            first = next(c for c in v if c != 0)
-            if first < 0:
-                continue
-            theta_raw = sum(vi * cr for vi, cr in zip(v, craws))
-            acc = 0.0
-            for l in range(1, u_sq + 1):
-                m_lo = max(1, int(math.ceil(P * a * mu / l)))
-                m_hi = int(math.floor(b * P / l))
-                if m_hi < m_lo:
-                    continue
-                ms = np.arange(m_lo, m_hi + 1, dtype=np.int64)
-                phases = frac_multiples(FixedReal(theta_raw * l), ms)
-                acc += _suffix_max_abs(np.exp(2j * np.pi * phases))
-            z1 += 2.0 * weight * acc
+    z1_windows = []
+    for l in range(1, u_sq + 1):
+        m_lo = max(1, int(math.ceil(P * a * mu / l)))
+        m_hi = int(math.floor(b * P / l))
+        if m_hi >= m_lo:
+            z1_windows.append((l, np.arange(m_lo, m_hi + 1, dtype=np.int64)))
 
-    # ---- Z2 and Z2(L): bilinear tail with Moebius-sum coefficients -----
+    # Z2: the l with b(l) != 0 in [l_min, l_max] and the prime powers m > u
+    # of their windows.  Z2(L) sums the dyadic block [L, min(2L, l_max)] of
+    # the same l; since a*mu/b < 1, l_min <= floor(u) <= L.
     l_min = int(math.floor(a * mu * uu / b))
     l_max = int(math.floor(b * P / uu))
     bl = b_array(max(2 * l_max + 1, 2), uu, table)
     # the m-sums below need Lambda on all of [1, bP]
     lam_all = table.von_mangoldt_range(1, n_hi)
     ns_lam = (np.nonzero(lam_all)[0] + 1).astype(np.int64)
-
-    def z2_block(l_start: int, l_end: int, theta_raw: int,
-                 absolute_inside: bool) -> float:
-        acc_signed = 0j
-        acc_abs = 0.0
-        for l in range(max(1, l_start), l_end + 1):
-            coeff = int(bl[l])
-            if coeff == 0:
-                continue
-            m1 = max(int(uu) + 1, int(math.ceil(P * a * mu / l)))
-            m2 = int(math.floor(b * P / l))
-            if m2 < m1:
-                continue
-            lo_i = np.searchsorted(ns_lam, m1, side="left")
-            hi_i = np.searchsorted(ns_lam, m2, side="right")
-            if hi_i <= lo_i:
-                continue
-            sub = ns_lam[lo_i:hi_i]
-            phases = frac_multiples(FixedReal(theta_raw * l), sub)
-            inner = np.sum(lam_all[sub - 1] * np.exp(2j * np.pi * phases))
-            if absolute_inside:
-                acc_abs += abs(coeff) * abs(inner)
-            else:
-                acc_signed += coeff * inner
-        return acc_abs if absolute_inside else abs(acc_signed)
-
-    z2 = 0.0
-    z2_l_best = 0.0
-    z2_l_arg = 0
-    dyadic_ls = []
+    z2_terms = []  # (l, b(l), m, Lambda(m))
+    for l in range(max(1, l_min), l_max + 1):
+        coeff = int(bl[l])
+        m1 = max(int(uu) + 1, int(math.ceil(P * a * mu / l)))
+        m2 = int(math.floor(b * P / l))
+        if coeff == 0 or m2 < m1:
+            continue
+        sub = ns_lam[np.searchsorted(ns_lam, m1, side="left"):
+                     np.searchsorted(ns_lam, m2, side="right")]
+        if sub.size:
+            z2_terms.append((l, coeff, sub, lam_all[sub - 1]))
+    term_ls = [term[0] for term in z2_terms]
+    blocks = []  # (L, first and end index into z2_terms)
     L = max(int(uu), 1)
     while L <= l_max:
-        dyadic_ls.append(L)
+        blocks.append((L, bisect_left(term_ls, L),
+                       bisect_right(term_ls, min(2 * L, l_max))))
         L *= 2
-    for mags in itertools.product(range(1, J + 1), repeat=d):
+
+    # ---- U_tilde, Z1, Z2 and Z2(L): one pass over the half index box ---
+    signed = tuple(s * j for j in range(1, J + 1) for s in (1, -1))
+    u_tilde = z1 = z2 = 0.0
+    block_sums = [0.0] * len(blocks)
+    for v in half_box([range(1, J + 1)] + [signed] * (d - 1)):
         weight = 1.0
-        for m in mags:
-            weight /= m
-        for signs in itertools.product((1, -1), repeat=d):
-            v = [s * m for s, m in zip(signs, mags)]
-            first = next(c for c in v if c != 0)
-            if first < 0:
-                continue
-            theta_raw = sum(vi * cr for vi, cr in zip(v, craws))
-            z2 += 2.0 * weight * z2_block(l_min, l_max, theta_raw,
-                                          absolute_inside=False)
-    for L in dyadic_ls:
-        val = 0.0
-        for mags in itertools.product(range(1, J + 1), repeat=d):
-            weight = 1.0
-            for m in mags:
-                weight /= m
-            for signs in itertools.product((1, -1), repeat=d):
-                v = [s * m for s, m in zip(signs, mags)]
-                first = next(c for c in v if c != 0)
-                if first < 0:
-                    continue
-                theta_raw = sum(vi * cr for vi, cr in zip(v, craws))
-                val += 2.0 * weight * z2_block(L, min(2 * L, l_max), theta_raw,
-                                               absolute_inside=True)
+        for vi in v:
+            weight /= abs(vi)
+        theta_raw = sum(vi * cr for vi, cr in zip(v, craws))
+
+        phases = frac_multiples(FixedReal(theta_raw), ns)
+        z = np.sum(lam_s * np.exp(2j * np.pi * phases))
+        u_tilde += 2.0 * weight * abs(z)  # |sum| is invariant under j -> -j
+
+        acc = 0.0
+        for l, ms in z1_windows:
+            phases = frac_multiples(FixedReal(theta_raw * l), ms)
+            acc += _suffix_max_abs(np.exp(2j * np.pi * phases))
+        z1 += 2.0 * weight * acc
+
+        acc_signed = 0j
+        absolute = []
+        for l, coeff, sub, lam_sub in z2_terms:
+            phases = frac_multiples(FixedReal(theta_raw * l), sub)
+            inner = np.sum(lam_sub * np.exp(2j * np.pi * phases))
+            acc_signed += coeff * inner
+            absolute.append(abs(coeff) * abs(inner))
+        z2 += 2.0 * weight * abs(acc_signed)
+        for i, (_, lo, hi) in enumerate(blocks):
+            acc = 0.0
+            for term in absolute[lo:hi]:
+                acc += term
+            block_sums[i] += 2.0 * weight * acc
+
+    z2_l_best = 0.0
+    z2_l_arg = 0
+    for (L, _, _), val in zip(blocks, block_sums):
         if val > z2_l_best:
             z2_l_best, z2_l_arg = val, L
 
@@ -459,10 +428,7 @@ def min_dist_integral(a: float, b: float, big_k: float, x: float,
 
     def integrand(alpha):
         y = alpha * ax
-        dist = np.abs(y - np.round(y))
-        with np.errstate(divide="ignore"):
-            rec = np.where(dist > 0, 1.0 / np.where(dist > 0, dist, 1.0), np.inf)
-        return np.minimum(big_k, rec)
+        return _min_terms(big_k, np.abs(y - np.round(y)))
 
     total = 0.0
     for lo, hi in zip(pts[:-1], pts[1:]):

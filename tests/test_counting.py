@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diophlab.arith import build_arith_table
 from diophlab.counting import (
     ApproxConfig,
     SieveSideParams,
@@ -460,6 +461,19 @@ class TestWindowCounts:
         rev = window_counts(10**4, wp, golden_cfg, table_small, reverse=True)
         assert fwd.weighted == rev.weighted  # bit-identical via exact summation
         assert fwd.prime_count == rev.prime_count
+
+    def test_prime_window_checked_against_table(self, golden_cfg):
+        # a < 1 puts the prime window's end mu*P = 1500 beyond b*P = 1000
+        cfg = ApproxConfig(c=golden_cfg.c, epsilon=golden_cfg.epsilon,
+                           A=0.5, B=1.0)
+        wp = WindowParams.from_config(cfg, 1000)
+        for limit in (1000, 1498):
+            with pytest.raises(RangeError):
+                window_counts(1000, wp, cfg, build_arith_table(limit))
+        for limit in (1499, 1600):
+            wc = window_counts(1000, wp, cfg, build_arith_table(limit))
+            assert wc.primes_in_window == 71
+            assert wc.solutions == 781
 
     def test_solution_product(self, golden_cfg, table_small):
         wp = WindowParams.from_config(golden_cfg, 5000)

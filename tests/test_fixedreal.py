@@ -1,8 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diophlab.errors import ContractError, ResourceCapError
 from diophlab.fixedreal import (
@@ -15,6 +18,7 @@ from diophlab.fixedreal import (
     dioph_certify,
     dirichlet_approx,
     dist_nearest_int,
+    half_box,
     inner_product,
     parse_real,
     scaled_floor_frac,
@@ -191,6 +195,42 @@ class TestDirichlet:
             assert math.gcd(a, q) == 1
             if q > 10**12:
                 break
+
+
+def _first_nonzero_positive(v):
+    nonzero = [comp for comp in v if comp != 0]
+    return bool(nonzero) and nonzero[0] > 0
+
+
+SPANS = st.one_of(
+    st.integers(0, 3).map(lambda h: range(-h, h + 1)),          # symmetric
+    st.tuples(st.integers(-3, 0), st.integers(0, 3))
+      .map(lambda t: range(t[0], t[1] + 1)),                   # holds 0
+    st.integers(1, 3).map(lambda h: range(1, h + 1)),           # positive
+    st.integers(1, 3).map(lambda h: range(-h, 0)),              # negative
+    st.integers(1, 3).map(                                       # 1, -1, ...
+        lambda h: tuple(s * j for j in range(1, h + 1) for s in (1, -1))),
+)
+
+
+class TestHalfBox:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(spans=st.lists(SPANS, min_size=1, max_size=3))
+    def test_filtered_product_in_order(self, spans):
+        want = [v for v in itertools.product(*spans)
+                if _first_nonzero_positive(v)]
+        assert list(half_box(spans)) == want
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(h=st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    def test_symmetric_box_one_of_each_pair(self, h):
+        spans = [range(-hi, hi + 1) for hi in h]
+        half = list(half_box(spans))
+        assert len(set(half)) == len(half)
+        mirrored = {tuple(-comp for comp in v) for v in half}
+        assert not mirrored & set(half)
+        nonzero = {v for v in itertools.product(*spans) if any(v)}
+        assert set(half) | mirrored == nonzero
 
 
 class TestDiophCertify:

@@ -16,7 +16,6 @@ from diophlab.fourier import (
     fejer_tau,
     frac_multiples,
     min_sum_with_bound,
-    psi_star_and_tau,
     sawtooth,
     sawtooth_array,
     vaaler_weight,
@@ -62,8 +61,7 @@ class TestVaalerPolynomial:
     def test_tau_at_zero_is_half(self):
         for degree in (1, 5, 10, 50):
             poly = VaalerPolynomial.build(degree)
-            _, tau0 = psi_star_and_tau(poly, 0.0)
-            assert tau0 == pytest.approx(0.5, abs=1e-12)
+            assert poly.tau(0.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_psi_star_odd_symmetry_at_half(self):
         poly = VaalerPolynomial.build(1)

@@ -1,12 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from diophlab.counting import witness_integral
+from diophlab.counting import ApproxConfig, witness_integral
 from diophlab.errors import ContractError
 from diophlab.fixedreal import FixedReal, constant
-from diophlab.fourier import dist_multiples
+from diophlab.fourier import dist_multiples, frac_multiples
 from diophlab.harness import (
     average_error_check,
     bound_audit,
@@ -16,6 +17,7 @@ from diophlab.harness import (
     min_dist_integral,
     upper_bound_check,
 )
+from diophlab.vaughan import b_array
 
 
 class TestKronecker:
@@ -169,6 +171,129 @@ class TestBoundAudit:
         factor = r2["T_A"].exact_value / r1["T_A"].exact_value
         assert factor == pytest.approx(3.873, rel=0.05)
         assert factor <= math.log(2 * 10**4) ** 3
+
+
+def reference_theta_sums(P, cfg, table):
+    """U_tilde, Z1, Z2 and Z2(L) of ``bound_audit`` at its default J and u,
+    in four separate loops over magnitudes then signs (the mirror image
+    j -> -j skipped), each Z2(L) block recomputing its inner sums.
+
+    Returns (Z1, Z2, Z2_L, its L, U_tilde).
+    """
+    k, d = cfg.c.k, cfg.d
+    a, b = cfg.A, cfg.B
+    mu = (a + b) / (2.0 * a)
+    J = max(1, int(float(P) ** (1.0 / (3.0 * k + 2.0))))
+    uu = float(P) ** 0.4
+    n_lo = int(math.ceil(P * a * mu))
+    n_hi = int(math.floor(b * P))
+    lam = table.von_mangoldt_range(n_lo, n_hi)
+    support = np.nonzero(lam)[0]
+    ns = (support + n_lo).astype(np.int64)
+    lam_s = lam[support]
+    craws = [ci.raw for ci in cfg.c.entries]
+
+    def half_index_box():
+        for mags in itertools.product(range(1, J + 1), repeat=d):
+            weight = 1.0
+            for m in mags:
+                weight /= m
+            for signs in itertools.product((1, -1), repeat=d):
+                v = [s * m for s, m in zip(signs, mags)]
+                first = next(c for c in v if c != 0)
+                if first < 0:
+                    continue
+                yield weight, sum(vi * cr for vi, cr in zip(v, craws))
+
+    u_tilde = 0.0
+    for weight, theta_raw in half_index_box():
+        phases = frac_multiples(FixedReal(theta_raw), ns)
+        z = np.sum(lam_s * np.exp(2j * np.pi * phases))
+        u_tilde += 2.0 * weight * abs(z)
+
+    u_sq = int(uu * uu)
+    z1 = 0.0
+    for weight, theta_raw in half_index_box():
+        acc = 0.0
+        for l in range(1, u_sq + 1):
+            m_lo = max(1, int(math.ceil(P * a * mu / l)))
+            m_hi = int(math.floor(b * P / l))
+            if m_hi < m_lo:
+                continue
+            ms = np.arange(m_lo, m_hi + 1, dtype=np.int64)
+            phases = frac_multiples(FixedReal(theta_raw * l), ms)
+            suffix = np.cumsum(np.exp(2j * np.pi * phases)[::-1])
+            acc += float(np.max(np.abs(suffix)))
+        z1 += 2.0 * weight * acc
+
+    l_min = int(math.floor(a * mu * uu / b))
+    l_max = int(math.floor(b * P / uu))
+    bl = b_array(max(2 * l_max + 1, 2), uu, table)
+    lam_all = table.von_mangoldt_range(1, n_hi)
+    ns_lam = (np.nonzero(lam_all)[0] + 1).astype(np.int64)
+
+    def z2_block(l_start, l_end, theta_raw, absolute_inside):
+        acc_signed = 0j
+        acc_abs = 0.0
+        for l in range(max(1, l_start), l_end + 1):
+            coeff = int(bl[l])
+            if coeff == 0:
+                continue
+            m1 = max(int(uu) + 1, int(math.ceil(P * a * mu / l)))
+            m2 = int(math.floor(b * P / l))
+            if m2 < m1:
+                continue
+            lo_i = np.searchsorted(ns_lam, m1, side="left")
+            hi_i = np.searchsorted(ns_lam, m2, side="right")
+            if hi_i <= lo_i:
+                continue
+            sub = ns_lam[lo_i:hi_i]
+            phases = frac_multiples(FixedReal(theta_raw * l), sub)
+            inner = np.sum(lam_all[sub - 1] * np.exp(2j * np.pi * phases))
+            if absolute_inside:
+                acc_abs += abs(coeff) * abs(inner)
+            else:
+                acc_signed += coeff * inner
+        return acc_abs if absolute_inside else abs(acc_signed)
+
+    z2 = 0.0
+    for weight, theta_raw in half_index_box():
+        z2 += 2.0 * weight * z2_block(l_min, l_max, theta_raw, False)
+    z2_l_best, z2_l_arg = 0.0, 0
+    L = max(int(uu), 1)
+    while L <= l_max:
+        val = 0.0
+        for weight, theta_raw in half_index_box():
+            val += 2.0 * weight * z2_block(L, min(2 * L, l_max), theta_raw,
+                                           True)
+        if val > z2_l_best:
+            z2_l_best, z2_l_arg = val, L
+        L *= 2
+    return z1, z2, z2_l_best, z2_l_arg, u_tilde
+
+
+class TestBoundAuditReference:
+    # at 2**11 the block ends l = min(2L, l_max) have b(l) != 0, so a block
+    # that drops or double-counts its end shows there
+    @pytest.mark.parametrize("P", [2**8, 2**10, 2**11])
+    @pytest.mark.parametrize("window", [(1.0, 1.5), (11 / 8, 15 / 8)])
+    @pytest.mark.parametrize("cfg_name", ["golden_cfg", "two_dim_cfg"])
+    def test_theta_sums_bit_identical(self, request, table_small, cfg_name,
+                                      window, P):
+        base = request.getfixturevalue(cfg_name)
+        cfg = ApproxConfig(c=base.c, epsilon=base.epsilon,
+                           A=window[0], B=window[1])
+        z1, z2, z2_l, z2_l_arg, u_tilde = reference_theta_sums(P, cfg,
+                                                               table_small)
+        rows = {r.label: r for r in bound_audit(P, cfg, table_small)}
+        assert rows["Z1"].exact_value == z1
+        assert rows["Z2"].exact_value == z2
+        assert rows["Z2_L"].exact_value == z2_l
+        assert rows["Z2_L"].parameters["L"] == z2_l_arg
+        assert rows["U_tilde"].exact_value == u_tilde
+        assert rows["U_tilde_vs_split"].exact_value == u_tilde
+        assert rows["U_tilde_vs_split"].bound \
+            == math.log(2.0 * P) * z1 + z2
 
 
 class TestMinDistIntegral:
