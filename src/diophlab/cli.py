@@ -53,8 +53,6 @@ def fmt30(value) -> str:
             return format(Decimal(value.numerator) / Decimal(value.denominator))
         if isinstance(value, float):
             return format(Decimal(value) + 0)
-        if isinstance(value, int):
-            return str(value)
         return str(value)
 
 
@@ -327,28 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config")
-        p.add_argument("--d")
-        p.add_argument("--c")
-        p.add_argument("--k")
-        p.add_argument("--eps")
-        p.add_argument("--A")
-        p.add_argument("--B")
-        p.add_argument("--alpha")
-        p.add_argument("--N")
-        p.add_argument("--Ngrid")
-        p.add_argument("--P")
-        p.add_argument("--Pgrid")
-        p.add_argument("--Q")
-        p.add_argument("--samples")
-        p.add_argument("--seed")
-        p.add_argument("--out")
-        p.add_argument("--Nbound")
-        p.add_argument("--a")
-        p.add_argument("--b")
-        p.add_argument("--J")
-        p.add_argument("--u")
-        p.add_argument("--points")
+        for key in ("config",) + _INSTANCE_KEYS + _RUN_KEYS:
+            p.add_argument(f"--{key}")
     return parser
 
 

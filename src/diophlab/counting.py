@@ -37,6 +37,9 @@ EXACT_INTEGRAL_DEFAULT_LIMIT = 20_000
 #: Default cap on enumerated error-sum lattice points.
 DEFAULT_SIEVE_CAP = 20_000_000
 
+#: Most (p, r) pairs the fast path's box kernel holds at once.
+PAIR_BUDGET = 1 << 14
+
 
 def _dyadic_scaled(x: float, bits: int) -> int:
     """floor(x * 2**bits) computed exactly for a binary64 input."""
@@ -363,16 +366,14 @@ def _pair_ranges(primes: np.ndarray, pf: np.ndarray, a: float, b: float):
     return lo, hi
 
 
-def _pair_chunks(primes: np.ndarray, ps: np.ndarray, a: float, b: float,
-                 pair_budget: int):
+def _pair_chunks(primes: np.ndarray, pf: np.ndarray, lo_idx: np.ndarray,
+                 hi_idx: np.ndarray, pair_budget: int):
     """Yield (p_rep, r) float64 pair arrays of at most pair_budget pairs each.
 
-    Pairs are all (p, r) with p in ps and r prime in [a*p - 1, b*p + 1], in
-    order of p then r.  A chunk may end inside one prime's range of r, so
-    memory stays flat in N however many r one p pairs with.
+    Pairs are (pf[j], primes[i]) for i in [lo_idx[j], hi_idx[j]), in order
+    of j then i.  A chunk may end inside one range, so memory stays flat
+    in N however many r one p pairs with.
     """
-    pf_all = ps.astype(np.float64)
-    lo_idx, hi_idx = _pair_ranges(primes, pf_all, a, b)
     lens = hi_idx - lo_idx
     ends = np.cumsum(lens)
     begins = ends - lens
@@ -385,28 +386,55 @@ def _pair_chunks(primes: np.ndarray, ps: np.ndarray, a: float, b: float,
         seg_hi = np.minimum(ends[first:last], stop)
         shift = lo_idx[first:last] - begins[first:last]
         r = primes[_index_ranges(seg_lo + shift, seg_hi + shift)]
-        yield np.repeat(pf_all[first:last], seg_hi - seg_lo), r.astype(np.float64)
+        yield np.repeat(pf[first:last], seg_hi - seg_lo), r.astype(np.float64)
 
 
-def _d1_pair_terms(p: np.ndarray, r: np.ndarray, a: float, b: float, c: float,
-                   eta: np.ndarray) -> np.ndarray:
-    """Closed-form d=1 term of each (p, r) pair, any position in the window.
+def _box_sum(primes: np.ndarray, pf: np.ndarray, lo_idx: np.ndarray,
+             hi_idx: np.ndarray, a: float, b: float, cs: list[float],
+             exponent: float) -> float:
+    """Sum of the window-integral terms of the pairs (pf[j], primes[i]),
+    i in [lo_idx[j], hi_idx[j]), for any d >= 1, streamed box by box.
 
-    For beta = p*alpha in [s, t) = [max(r, a p), min(r + eta, b p)), the
-    measure of {frac(c beta) < eta, floor(c beta) >= 1} is (F(c t) - F(c s))/c
-    minus the floor-zero band [0, eta/c), where F(w) = floor(w)*eta +
-    min(frac(w), eta); the term is that measure over p.
+    A pair (p, r) admits alpha in [lo, hi) = [max(r/p, a), min((r + eta)/p,
+    b)), empty when hi <= lo; dimension i admits the windows
+    [q/(c_i p), (q + eta)/(c_i p)) with q >= 1.  As eta < 1 and
+    hi - lo <= eta/p, only the n_cand_i = floor(c_i eta_max) + 2 candidates
+    q = floor(c_i p lo) + k can meet [lo, hi).  Each dimension's candidate
+    windows are clipped to [lo, hi) once per chunk, and the pair's term is
+    the sum over the candidate boxes (q_1..q_d) of
+    max(0, min(h_1..h_d) - max(l_1..l_d)): the boxes of the first d - 1
+    dimensions are walked one at a time, the last dimension's candidates
+    side by side, in two reused buffers.  Memory is
+    O(PAIR_BUDGET * sum n_cand_i), flat in N; the pairs are visited.
     """
-    s = np.maximum(r, a * p)
-    t = np.minimum(r + eta, b * p)
-    np.maximum(t, s, out=t)  # clamp empty intervals to zero length
-    cs = c * s
-    ct = c * t
-    fs = np.floor(cs)
-    ft = np.floor(ct)
-    v = (ft - fs) * eta + np.minimum(ct - ft, eta) - np.minimum(cs - fs, eta)
-    band = np.clip(np.minimum(t, eta / c) - s, 0.0, None)
-    return (v / c - band) / p
+    eta_max = 2.0 ** exponent  # largest threshold, attained at p = 2
+    n_cand = [int(math.floor(ci * eta_max)) + 2 for ci in cs]
+    sums = []
+    for p_rep, r in _pair_chunks(primes, pf, lo_idx, hi_idx, PAIR_BUDGET):
+        eta_rep = p_rep ** exponent
+        lo = np.maximum(r / p_rep, a)
+        hi = np.minimum((r + eta_rep) / p_rep, b)
+        lows, highs = [], []  # per dimension, one row per candidate q
+        for ci, cand in zip(cs, n_cand):
+            cp = ci * p_rep
+            q = np.floor(cp * lo) + np.arange(cand, dtype=np.float64)[:, None]
+            low = q / cp
+            low[0, q[0] < 1.0] = np.inf  # floor-zero band: q < 1 only at k = 0
+            lows.append(np.maximum(low, lo, out=low))
+            q += eta_rep
+            q /= cp
+            highs.append(np.minimum(q, hi, out=q))
+        top = np.empty_like(highs[-1])
+        bottom = np.empty_like(lows[-1])
+        for ks in itertools.product(*map(range, n_cand[:-1])):
+            t, bo = highs[-1], lows[-1]
+            for i, k in enumerate(ks):
+                t = np.minimum(t, highs[i][k], out=top)
+                bo = np.maximum(bo, lows[i][k], out=bottom)
+            np.subtract(t, bo, out=top)
+            np.maximum(top, 0.0, out=top)
+            sums.append(float(top.sum()))
+    return math.fsum(sums)
 
 
 def _dominance_sums(x: np.ndarray, i: np.ndarray,
@@ -443,22 +471,26 @@ def _dominance_sums(x: np.ndarray, i: np.ndarray,
     return count, total
 
 
-def _d1_band_sum(primes: np.ndarray, ps: np.ndarray, a: float, b: float,
+def _d1_band_sum(primes: np.ndarray, pf: np.ndarray, a: float, b: float,
                  c_fixed: FixedReal, exponent: float) -> float:
-    """Sum over p in ps and prime r of the d=1 pair terms, without visiting pairs.
+    """The d=1 integral over p in pf and prime r, interior pairs unvisited.
 
-    An interior pair (r >= a p, r >= eta/c, r + eta <= b p) has the term
-    g_p(x_r)/(c p), with x_r = frac(c r) and g_p(x) = F(x + c eta) -
-    min(x, eta).  On [0, 1) that is a signed sum of ramps (x - u)_+ at
-    u = 0, eta, m - c eta and m + eta - c eta, so the sum over a prime's
-    contiguous interior range of r reduces to a count and a sum of x_r
-    above each u, answered for all primes at once by dominance sums.
-    The few boundary pairs per p keep the closed form.
+    For beta = p*alpha in [s, t), the measure of {frac(c beta) < eta,
+    floor(c beta) >= 1} is (F(c t) - F(c s))/c minus the floor-zero band,
+    where F(w) = floor(w)*eta + min(frac(w), eta).  An interior pair
+    (r >= a p, r >= eta/c, r + eta <= b p) has the term g_p(x_r)/(c p),
+    with x_r = frac(c r) taken exactly from the fixed-point slope and
+    g_p(x) = F(x + c eta) - min(x, eta).  On [0, 1) that is a signed sum
+    of ramps (x - u)_+ at u = 0, eta, m - c eta and m + eta - c eta, so
+    the sum over a prime's contiguous interior range of r reduces to a
+    count and a sum of x_r above each u, answered for all primes at once
+    by dominance sums in O(pi(bN) log pi(bN)).  The few boundary pairs
+    per p, [lo, i0) and [i1, hi), go to the streamed box kernel.
+    Per-term absolute error is ~|endpoint|*2**-52.
     """
-    if not ps.size:
+    if not pf.size:
         return 0.0
     c = c_fixed.to_float()
-    pf = ps.astype(np.float64)
     eta = pf ** exponent
     lo, hi = _pair_ranges(primes, pf, a, b)
     # interior pairs: float thresholds, as eta/c overflows int64 for tiny c
@@ -466,11 +498,8 @@ def _d1_band_sum(primes: np.ndarray, ps: np.ndarray, a: float, b: float,
                                     side="left"), hi)
     i1 = np.maximum(np.searchsorted(primes, b * pf - eta, side="right"), i0)
 
-    starts, stops = np.concatenate((lo, i1)), np.concatenate((i0, hi))
-    lens = stops - starts
-    edge = _d1_pair_terms(np.repeat(np.tile(pf, 2), lens),
-                          primes[_index_ranges(starts, stops)].astype(np.float64),
-                          a, b, c, np.repeat(np.tile(eta, 2), lens))
+    edge = _box_sum(primes, np.tile(pf, 2), np.concatenate((lo, i1)),
+                    np.concatenate((i0, hi)), a, b, [c], exponent)
 
     x = frac_multiples(c_fixed, primes[:int(i1.max())])
     run = np.concatenate(([0.0], np.cumsum(x)))
@@ -493,77 +522,7 @@ def _d1_band_sum(primes: np.ndarray, ps: np.ndarray, a: float, b: float,
     below_s = below_s[:k] - below_s[k:]
     ramps[rows, cols] = (total[rows] - below_s) - v * (count[rows] - below_n)
     inner = ramps @ w / (c * pf)
-    return math.fsum(np.concatenate((edge, inner)))
-
-
-def _integral_fast_d1(a: float, b: float, cfg: ApproxConfig, N: int,
-                      table: ArithTable) -> float:
-    """Vectorized float64 evaluation of the d=1 integral.
-
-    Uses the closed form: for beta = p*alpha in [s, t), the measure of
-    {frac(c*beta) < eta, floor(c*beta) >= 1} is (F(c t) - F(c s))/c minus
-    the floor-zero band, where F(x) = floor(x)*eta + min(frac(x), eta).
-    The (p, r) prime pairs are represented, not visited: each prime's
-    interior pairs are summed by offline dominance sums over x_r =
-    frac(c r), taken exactly from the fixed-point slope, at a cost of
-    O(pi(bN) log pi(bN)).  Per-term absolute error is ~|endpoint|*2**-52;
-    accumulated error is far below 1e-6 relative at the scales this path
-    serves.
-    """
-    primes = table.primes
-    ps = primes[:np.searchsorted(primes, N, side="right")]
-    return _d1_band_sum(primes, ps, a, b, cfg.c.entries[0], cfg.exponent)
-
-
-def _integral_fast_general(a: float, b: float, cfg: ApproxConfig, N: int,
-                           table: ArithTable, pair_budget: int = 1 << 14) -> float:
-    """Vectorized float64 evaluation for d >= 2, streamed box by box.
-
-    A pair (p, r) admits alpha in [lo, hi) = [max(r/p, a), min((r + eta)/p,
-    b)), empty when hi <= lo; dimension i admits the windows
-    [q/(c_i p), (q + eta)/(c_i p)) with q >= 1.  As eta < 1 and
-    hi - lo <= eta/p, only the n_cand_i = floor(c_i eta_max) + 2 candidates
-    q = floor(c_i p lo) + k can meet [lo, hi).  Each dimension's candidate
-    windows are clipped to [lo, hi) once per chunk, and the pair's term is
-    the sum over the candidate boxes (q_1..q_d) of
-    max(0, min(h_1..h_d) - max(l_1..l_d)): the boxes of the first d - 1
-    dimensions are walked one at a time, the last dimension's candidates
-    side by side, in two reused buffers.  Memory is
-    O(pair_budget * sum n_cand_i), flat in N; the pairs are still visited.
-    """
-    exponent = cfg.exponent
-    primes = table.primes
-    ps = primes[:np.searchsorted(primes, N, side="right")]
-    eta_max = 2.0 ** exponent  # largest threshold, attained at p = 2
-    cs = cfg.c.floats()
-    n_cand = [int(math.floor(ci * eta_max)) + 2 for ci in cs]
-    sums = []
-    for p_rep, r in _pair_chunks(primes, ps, a, b, pair_budget):
-        eta_rep = p_rep ** exponent
-        lo = np.maximum(r / p_rep, a)
-        hi = np.minimum((r + eta_rep) / p_rep, b)
-        lows, highs = [], []  # per dimension, one row per candidate q
-        for ci, cand in zip(cs, n_cand):
-            cp = ci * p_rep
-            q = np.floor(cp * lo) + np.arange(cand, dtype=np.float64)[:, None]
-            low = q / cp
-            low[0, q[0] < 1.0] = np.inf  # floor-zero band: q < 1 only at k = 0
-            lows.append(np.maximum(low, lo, out=low))
-            q += eta_rep
-            q /= cp
-            highs.append(np.minimum(q, hi, out=q))
-        top = np.empty_like(highs[-1])
-        bottom = np.empty_like(lows[-1])
-        for ks in itertools.product(*map(range, n_cand[:-1])):
-            np.minimum(highs[-1], highs[0][ks[0]], out=top)
-            np.maximum(lows[-1], lows[0][ks[0]], out=bottom)
-            for i in range(1, len(ks)):
-                np.minimum(top, highs[i][ks[i]], out=top)
-                np.maximum(bottom, lows[i][ks[i]], out=bottom)
-            np.subtract(top, bottom, out=top)
-            np.maximum(top, 0.0, out=top)
-            sums.append(float(top.sum()))
-    return math.fsum(sums)
+    return math.fsum(np.append(inner, edge))
 
 
 def witness_integral(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
@@ -572,7 +531,9 @@ def witness_integral(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
 
     method='exact' returns the integral as an exact Fraction (integer
     interval arithmetic); method='fast' returns a float64 evaluation with
-    relative error well below 1e-6; 'auto' switches on N.
+    relative error well below 1e-6; 'auto' switches on N.  The fast path
+    sums every (p, r) pair with ``_box_sum`` for d >= 2; for d = 1,
+    ``_d1_band_sum`` sums the interior pairs without visiting them.
     """
     a_fr, b_fr = Fraction(a), Fraction(b)
     if not (Fraction(cfg.A) <= a_fr < b_fr <= Fraction(cfg.B)):
@@ -584,9 +545,13 @@ def witness_integral(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
     _check_table_covers(b_fr, N, table)
     if method == "exact":
         return _integral_exact(a, b, cfg, N, table)
+    a_f, b_f = float(a_fr), float(b_fr)
+    primes = table.primes
+    pf = primes[:np.searchsorted(primes, N, side="right")].astype(np.float64)
     if cfg.d == 1:
-        return _integral_fast_d1(float(a_fr), float(b_fr), cfg, N, table)
-    return _integral_fast_general(float(a_fr), float(b_fr), cfg, N, table)
+        return _d1_band_sum(primes, pf, a_f, b_f, cfg.c.entries[0], cfg.exponent)
+    return _box_sum(primes, pf, *_pair_ranges(primes, pf, a_f, b_f), a_f, b_f,
+                    cfg.c.floats(), cfg.exponent)
 
 
 def riemann_scan(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
@@ -739,11 +704,7 @@ def product_set(alpha: FixedReal, cfg: ApproxConfig, N: int,
         raise ContractError("alpha must be positive")
     mu_val = float(N) ** cfg.exponent if mu is None else mu
     out = []
-    if mu_val >= 1.0:
-        for n in range(1, N + 1):
-            out.append((n, n * ((n * alpha.raw) >> FRAC_BITS)))
-        return out
-    thr = _dyadic_scaled(mu_val, FRAC_BITS)
+    thr = _dyadic_scaled(min(mu_val, 1.0), FRAC_BITS)  # 1 already admits all
     thr256 = thr << FRAC_BITS
     slopes = [ci.raw * alpha.raw for ci in cfg.c.entries]
     mask256 = (1 << 256) - 1

@@ -39,13 +39,50 @@ def _isqrt_scaled(n: int) -> int:
     return math.isqrt(n << (2 * FRAC_BITS))
 
 
-def _mp_constant(name: str) -> int:
-    """floor(const * 2**128) for a transcendental constant, via mpmath."""
-    import mpmath
+#: Guard bits below 2**-128 at which the series constants are summed.
+_GUARD_BITS = 64
 
-    with mpmath.workprec(400):
-        value = {"e": mpmath.e, "pi": mpmath.pi}[name] + 0
-        return int(mpmath.floor(mpmath.ldexp(value, FRAC_BITS)))
+
+def _atan_inv(x: int, one: int) -> tuple[int, int]:
+    """(s, err) with |atan(1/x)*one - s| < err, from the Taylor series.
+
+    Each truncated power is short by less than 2 and each term by less
+    than 3; the alternating tail after the last nonzero power is below 2.
+    """
+    power, total, k = one // x, 0, 0
+    while power:
+        term = power // (2 * k + 1)
+        total += -term if k & 1 else term
+        power //= x * x
+        k += 1
+    return total, 3 * k + 2
+
+
+def _series_constant(name: str) -> int:
+    """floor(const * 2**128) for e or pi, by integer series.
+
+    e = sum 1/k!, pi = 16 atan(1/5) - 4 atan(1/239) (Machin), both summed
+    at 64 guard bits with a bound err on the truncation error.  The floor
+    is taken only when both ends of [s - err, s + err] give it.
+    """
+    one = 1 << (FRAC_BITS + _GUARD_BITS)
+    if name == "e":
+        # each truncated term is short by less than 2; the tail after the
+        # first zero term is below 4
+        s, term, k = 0, one, 0
+        while term:
+            s += term
+            k += 1
+            term //= k
+        err = 2 * k + 4
+    else:
+        s5, err5 = _atan_inv(5, one)
+        s239, err239 = _atan_inv(239, one)
+        s, err = 16 * s5 - 4 * s239, 16 * err5 + 4 * err239
+    lo, hi = (s - err) >> _GUARD_BITS, (s + err) >> _GUARD_BITS
+    if lo != hi:
+        raise ArithmeticError(f"{name}: error band straddles a 2**-128 step")
+    return lo
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -185,8 +222,8 @@ def _build_constants() -> dict:
         "sqrt5": FixedReal(sqrt5),
         # (1 + sqrt5)/2 floors correctly because sqrt5*2**128 is irrationally placed
         "phi": FixedReal((SCALE + sqrt5) // 2),
-        "e": FixedReal(_mp_constant("e")),
-        "pi": FixedReal(_mp_constant("pi")),
+        "e": FixedReal(_series_constant("e")),
+        "pi": FixedReal(_series_constant("pi")),
     }
 
 
@@ -284,9 +321,6 @@ class CVector:
 
     def floats(self) -> list[float]:
         return [c.to_float() for c in self.entries]
-
-    def min_value(self) -> float:
-        return min(self.floats())
 
 
 def inner_product(v, c: CVector) -> FixedReal:

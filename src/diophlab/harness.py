@@ -27,7 +27,7 @@ from .counting import (
     target_growth_alt,
     witness_integral,
 )
-from .errors import ContractError
+from .errors import ContractError, RangeError
 from .fixedreal import FixedReal, half_box
 from .parallel import map_ordered
 from .fourier import (
@@ -86,9 +86,6 @@ class HarnessReport:
     trend_nondecreasing: bool      # strict, over the top half of the grid
     trend_regression_ok: bool      # within the pinned per-step drift
     drift_tolerance: float
-
-    def ratios(self) -> list[float]:
-        return [r.ratio for r in self.rows]
 
 
 @dataclass(frozen=True)
@@ -229,7 +226,7 @@ def bound_audit(P: int, cfg: ApproxConfig, table: ArithTable,
     a, b = cfg.A, cfg.B
     mu = (a + b) / (2.0 * a)
     if b * P > table.limit:
-        raise ContractError("table limit too small for this window")
+        raise RangeError("table limit too small for this window")
     J = max(1, int(float(P) ** (1.0 / (3.0 * k + 2.0)))) if degree is None else degree
     uu = float(P) ** 0.4 if u is None else u
     wp = WindowParams.from_config(cfg, P)

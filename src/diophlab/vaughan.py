@@ -203,6 +203,8 @@ def lambda_sum_via_identity(table: ArithTable, f, params: VaughanParams) -> comp
     iterating its own convolution structure.
     """
     x = int(params.x)
+    if x > table.limit:
+        raise RangeError("x exceeds table range")
     u, v = params.u, params.v
     total = 0j
 

@@ -47,7 +47,9 @@ def reference_d1_band_sum(primes, ps, a, b, c, exponent, pair_budget=4_000_000):
     """The pair-by-pair d=1 fast kernel the dominance-sum kernel replaced:
     the closed form evaluated on every (p, r) pair, in bounded chunks."""
     chunks = []
-    for p_rep, r in _pair_chunks(primes, ps, a, b, pair_budget):
+    pf = ps.astype(np.float64)
+    for p_rep, r in _pair_chunks(primes, pf, *_pair_ranges(primes, pf, a, b),
+                                 pair_budget):
         eta_rep = p_rep ** exponent
         s = np.maximum(r, a * p_rep)
         t = np.minimum(r + eta_rep, b * p_rep)
@@ -77,7 +79,9 @@ def reference_fast_general(primes, ps, a, b, cs, exponent, pair_budget=1 << 14):
     eta_max = 2.0 ** exponent
     n_cand = [int(math.floor(ci * eta_max)) + 2 for ci in cs]
     chunks = []
-    for p_rep, r in _pair_chunks(primes, ps, a, b, pair_budget):
+    pf = ps.astype(np.float64)
+    for p_rep, r in _pair_chunks(primes, pf, *_pair_ranges(primes, pf, a, b),
+                                 pair_budget):
         eta_rep = p_rep ** exponent
         lo = np.maximum(r / p_rep, a)
         hi = np.minimum((r + eta_rep) / p_rep, b)
@@ -117,9 +121,10 @@ def _slope(name):
 
 
 #: Slopes for the d=1 kernel comparison: the named constants, a dyadic
-#: below 1/2 (floor-zero band, r < eta/c) and one with c*eta > 2, where the
-#: breakpoints of g_p wrap around [0, 1) more than once.
-D1_SLOPES = ("phi", "sqrt2", "sqrt3", 0.1875, 7.25)
+#: below 1/2 (floor-zero band, r < eta/c), one with c*eta > 2, where the
+#: breakpoints of g_p wrap around [0, 1) more than once, and 2**-10, where
+#: most pairs are boundary pairs.
+D1_SLOPES = ("phi", "sqrt2", "sqrt3", 0.1875, 7.25, 2.0**-10)
 
 
 @st.composite
@@ -316,6 +321,19 @@ class TestWitnessIntegral:
                                   method="fast")
             assert fa == pytest.approx(float(ex), rel=1e-9, abs=1e-12)
 
+    def test_fast_d1_memory_flat(self, table_small):
+        # at c = 2**-68 every pair is a boundary pair
+        cfg = ApproxConfig(c=CVector((FixedReal(1 << 60),), 1.0), epsilon=0.1,
+                           A=1.0, B=2.0)
+        witness_integral(1.0, 2.0, cfg, 2**10, table_small, method="fast")
+        tracemalloc.start()
+        try:
+            witness_integral(1.0, 2.0, cfg, 2**14, table_small, method="fast")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_fast_matches_exact_d2(self, two_dim_cfg, table_small):
         ex = witness_integral(1.0, 2.0, two_dim_cfg, 2000, table_small,
                               method="exact")
@@ -363,12 +381,12 @@ class TestWitnessIntegral:
     def test_pair_chunks_cover_every_pair_once(self, table_small):
         primes = table_small.primes
         for N, a, b in ((2, 1.0, 2.0), (700, 1.0, 2.0), (1000, 1.25, 1.5)):
-            ps = primes[primes <= N]
-            lo, hi = _pair_ranges(primes, ps.astype(np.float64), a, b)
-            want = [(float(p), float(r)) for p, l, h in zip(ps, lo, hi)
+            pf = primes[primes <= N].astype(np.float64)
+            lo, hi = _pair_ranges(primes, pf, a, b)
+            want = [(p, float(r)) for p, l, h in zip(pf, lo, hi)
                     for r in primes[l:h]]
             for budget in (1, 3, 100, 2**14):
-                chunks = list(_pair_chunks(primes, ps, a, b, budget))
+                chunks = list(_pair_chunks(primes, pf, lo, hi, budget))
                 assert all(0 < p.size == r.size <= budget for p, r in chunks)
                 got = list(itertools.chain.from_iterable(
                     zip(p.tolist(), r.tolist()) for p, r in chunks))

@@ -74,6 +74,11 @@ class TestRepresentation:
                 want = int(mpmath.floor(mpmath.ldexp(ref, FRAC_BITS)))
                 assert constant(name).raw == want, name
 
+    def test_series_constants_pinned(self):
+        # floor(e * 2**128) and floor(pi * 2**128), from integer series
+        assert constant("e").raw == 0x2b7e151628aed2a6abf7158809cf4f3c7
+        assert constant("pi").raw == 0x3243f6a8885a308d313198a2e03707344
+
     def test_parse_real_named(self):
         assert parse_real("phi").raw == constant("phi").raw
         assert parse_real(" 0.5 ").raw == SCALE // 2

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from diophlab.counting import ApproxConfig, witness_integral
-from diophlab.errors import ContractError
+from diophlab.errors import ContractError, RangeError
 from diophlab.fixedreal import FixedReal, constant
 from diophlab.fourier import dist_multiples, frac_multiples
 from diophlab.harness import (
@@ -125,6 +125,13 @@ class TestLimsupTrack:
 
 
 class TestBoundAudit:
+    def test_short_table_raises_range_error(self, golden_cfg):
+        from diophlab.arith import build_arith_table
+
+        with pytest.raises(RangeError, match="table limit too small") as err:
+            bound_audit(1001, golden_cfg, build_arith_table(2000))
+        assert not isinstance(err.value, ContractError)
+
     def test_rows_present_and_finite(self, golden_cfg, table_small):
         rows = bound_audit(2**10, golden_cfg, table_small)
         labels = [r.label for r in rows]

@@ -5,7 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from diophlab.errors import ContractError
+from diophlab.arith import build_arith_table
+from diophlab.errors import ContractError, RangeError
 from diophlab.fixedreal import SCALE, FixedReal, constant
 from diophlab.vaughan import (
     VaughanParams,
@@ -148,3 +149,10 @@ class TestLambdaExpSum:
             direct = sum(lam_of(table_small, n) * f(n) for n in range(11, 10**4 + 1))
             reassembled = lambda_sum_via_identity(table_small, f, params)
             assert abs(direct - reassembled) <= 1e-6 * max(1.0, abs(direct))
+
+    def test_reassembly_checks_table_before_any_call(self):
+        calls = []
+        with pytest.raises(RangeError):
+            lambda_sum_via_identity(build_arith_table(1000), calls.append,
+                                    VaughanParams(5, 5, 3000))
+        assert not calls
