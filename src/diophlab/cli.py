@@ -22,6 +22,7 @@ from .arith import build_arith_table
 from .counting import (
     ApproxConfig,
     SieveSideParams,
+    congruence_pairs,
     count_witnesses,
     sieve_side_counts,
 )
@@ -221,15 +222,10 @@ def _cmd_sieve_side(values: dict) -> int:
     table = build_arith_table(max(n_val, 3))
     header = ["N", "t1", "t2", "S_exact", "main_term", "E_bound"]
     rows = []
-    t1 = 1
-    while t1 <= q_cap:
-        t2 = 1
-        while t1 * t2 <= q_cap:
-            sp = SieveSideParams.from_config(cfg, n_val, t1, t2, Q=q_cap)
-            res = sieve_side_counts(alpha, sp, cfg, table)
-            rows.append([n_val, t1, t2, res.s_exact, res.main_term, res.e_bound])
-            t2 += 1
-        t1 += 1
+    for t1, t2 in congruence_pairs(q_cap):
+        sp = SieveSideParams.from_config(cfg, n_val, t1, t2, Q=q_cap)
+        res = sieve_side_counts(alpha, sp, cfg, table)
+        rows.append([n_val, t1, t2, res.s_exact, res.main_term, res.e_bound])
     write_csv(out, header, rows, values)
     grid = [n_val // 10, n_val] if n_val >= 100 else [n_val]
     avg = average_error_check(grid, cfg, table,

@@ -625,17 +625,15 @@ def _ceil_raw(raw: int) -> int:
 
 
 def window_counts(P: int, wp: WindowParams, cfg: ApproxConfig,
-                  table: ArithTable, delta: float | None = None,
-                  reverse: bool = False) -> WindowCounts:
+                  table: ArithTable, delta: float | None = None) -> WindowCounts:
     """Lambda-weighted and prime counts of lattice hits over one window.
 
     weighted = sum over P*a*mu <= n <= b*P of Lambda(n) * prod_i #(integers
     in [c_i n, c_i n + delta)); prime_count is the same product summed over
-    primes r only; solutions = primes_in_window * prime_count.
+    primes r only; solutions = primes_in_window * prime_count.  One pass over
+    the Lambda support serves both sums: every prime of the range is in it.
 
     ``delta`` overrides the window's derived value (diagnostics only).
-    ``reverse`` flips the iteration order; the weighted sum is accumulated
-    with exact float summation, so both orders agree bit-for-bit.
     """
     dl = wp.delta if delta is None else delta
     if dl <= 0:
@@ -665,23 +663,16 @@ def window_counts(P: int, wp: WindowParams, cfg: ApproxConfig,
         return prod
 
     lam = table.von_mangoldt_range(n_lo, n_hi)
-    support = np.nonzero(lam)[0]
-    if reverse:
-        support = support[::-1]
     terms = []
-    for idx in support:
+    s_count = 0
+    for idx in np.nonzero(lam)[0]:
         n = int(idx) + n_lo
         prod = factor_product(n)
         if prod:
             terms.append(prod * float(lam[idx]))
+            if table.prime_flags[n]:
+                s_count += prod
     weighted = math.fsum(terms)
-
-    s_count = 0
-    rs = table.primes_between(max(n_lo, 2), n_hi)
-    if reverse:
-        rs = rs[::-1]
-    for r in rs:
-        s_count += factor_product(int(r))
 
     r_count = int(table.primes_between(P, r_hi).size) if r_hi >= P else 0
     return WindowCounts(weighted=weighted, prime_count=s_count,
@@ -703,6 +694,8 @@ def product_set(alpha: FixedReal, cfg: ApproxConfig, N: int,
     if alpha.raw <= 0:
         raise ContractError("alpha must be positive")
     mu_val = float(N) ** cfg.exponent if mu is None else mu
+    if not mu_val > 0:
+        raise ContractError("mu must be positive")
     out = []
     thr = _dyadic_scaled(min(mu_val, 1.0), FRAC_BITS)  # 1 already admits all
     thr256 = thr << FRAC_BITS
@@ -745,36 +738,50 @@ def sieve_side_counts(alpha: FixedReal, sp: SieveSideParams, cfg: ApproxConfig,
             continue
         s_exact += 1
     main = N * mu ** (cfg.d + 1) / (t1 * t2)
-    e_bound = _sieve_error_majorant(alpha, sp, cfg, cap)
+    box = _half_box_grid(int(math.floor(sp.L)), cfg.d + 1, cap)
+    e_bound = _sieve_error_majorant(alpha, sp, cfg, box)
     return SieveSideCounts(s_exact=s_exact, main_term=main, e_bound=e_bound)
 
 
-def _box_grid(l_int: int, d_plus_1: int, cap: int) -> np.ndarray:
+def congruence_pairs(Q: float):
+    """The congruence pairs (t1, t2) with t1*t2 <= Q, in lexicographic order."""
+    t1 = 1
+    while t1 <= Q:
+        t2 = 1
+        while t1 * t2 <= Q:
+            yield t1, t2
+            t2 += 1
+        t1 += 1
+
+
+def _half_box_grid(l_int: int, d_plus_1: int, cap: int) -> np.ndarray:
+    """The half of the punctured box max|m_i| <= l_int as float64 rows.
+
+    These are the rows after the centre of the product-order grid: the m
+    whose first nonzero component is positive, as ``half_box`` yields them
+    on symmetric spans.  The cap applies to the full box.
+    """
     count = (2 * l_int + 1) ** d_plus_1
     if count > cap:
         raise ResourceCapError(
             f"error-sum box of {count} points exceeds cap {cap}"
         )
-    axes = [np.arange(-l_int, l_int + 1)] * d_plus_1
+    axes = [np.arange(-l_int, l_int + 1, dtype=np.float64)] * d_plus_1
     mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return np.stack([m.ravel() for m in mesh], axis=-1)[count // 2 + 1:]
 
 
 def _sieve_error_majorant(alpha: FixedReal, sp: SieveSideParams,
-                          cfg: ApproxConfig, cap: int) -> float:
+                          cfg: ApproxConfig, box: np.ndarray) -> float:
+    """The min-form majorant over the punctured box, from its half ``box``:
+    the terms at m and -m are equal, so the half sum is doubled."""
     t1, t2 = sp.t1, sp.t2
-    l_int = int(math.floor(sp.L))
-    if l_int < 1:
-        return 0.0
-    grid = _box_grid(l_int, cfg.d + 1, cap)
-    nonzero = np.any(grid != 0, axis=1)
-    grid = grid[nonzero].astype(np.float64)
     cs = np.array(cfg.c.floats())
-    inner = grid[:, 0] / t2 + grid[:, 1:] @ cs
+    inner = box[:, 0] / t2 + box[:, 1:] @ cs
     val = alpha.to_float() * t1 * inner
     dist = np.abs(val - np.round(val))
     terms = _min_terms(sp.N / t1, dist)
-    return float(sp.mu_target ** (cfg.d + 1) / t2 * np.sum(terms))
+    return float(sp.mu_target ** (cfg.d + 1) / t2 * 2.0 * np.sum(terms))
 
 
 def sieve_side_error_raw(alpha: FixedReal, sp: SieveSideParams,
@@ -782,23 +789,20 @@ def sieve_side_error_raw(alpha: FixedReal, sp: SieveSideParams,
                          cap: int = DEFAULT_SIEVE_CAP) -> float:
     """Error term via the raw exponential sums (exact phases), for cross-checks.
 
+    |S(-m)| = |S(m)|, so the sums run over the half box and are doubled.
     Always bounded by the min-form majorant.
     """
     t1, t2 = sp.t1, sp.t2
-    l_int = int(math.floor(sp.L))
-    if l_int < 1:
-        return 0.0
     n_max = sp.N // t1
-    grid = _box_grid(l_int, cfg.d + 1, cap // max(n_max, 1) + 1)
+    box = _half_box_grid(int(math.floor(sp.L)), cfg.d + 1,
+                         cap // max(n_max, 1) + 1)
     craws = [ci.raw for ci in cfg.c.entries]
     modulus = t2 << 256
     total = 0.0
-    for m in grid:
-        if not any(m):
-            continue
+    for m0, *ms in box.tolist():
         # theta * (t2 * 2**256) = a_raw * t1 * (m0*2**128 + t2*sum m_i craw_i)
-        inner = (int(m[0]) << FRAC_BITS) + t2 * sum(
-            int(mi) * cr for mi, cr in zip(m[1:], craws)
+        inner = (int(m0) << FRAC_BITS) + t2 * sum(
+            int(mi) * cr for mi, cr in zip(ms, craws)
         )
         w = alpha.raw * t1 * inner
         acc = 0j
@@ -807,26 +811,24 @@ def sieve_side_error_raw(alpha: FixedReal, sp: SieveSideParams,
             acc += complex(math.cos(2 * math.pi * ph / modulus),
                            math.sin(2 * math.pi * ph / modulus))
         total += abs(acc)
-    return float(sp.mu_target ** (cfg.d + 1) / t2 * total)
+    return float(sp.mu_target ** (cfg.d + 1) / t2 * 2.0 * total)
 
 
 def sieve_error_sum(alpha: FixedReal, cfg: ApproxConfig, N: int,
                     table: ArithTable, Q: float | None = None,
                     cap: int = DEFAULT_SIEVE_CAP) -> float:
     """Weighted error functional over all congruence pairs t1*t2 <= Q:
-    sum (t1 t2)**eps * (N mu**d / L + e_bound(t1, t2))."""
+    sum (t1 t2)**eps * (N mu**d / L + e_bound(t1, t2)).
+
+    L = Q**3 / mu does not depend on the pair, so one half box serves all.
+    """
     qq = float(N) ** cfg.epsilon if Q is None else Q
-    if qq < 1.0:
-        return 0.0
+    mu = float(N) ** cfg.exponent
+    box = _half_box_grid(int(math.floor(qq ** 3 / mu)), cfg.d + 1, cap)
     total = 0.0
-    t1 = 1
-    while t1 <= qq:
-        t2 = 1
-        while t1 * t2 <= qq:
-            sp = SieveSideParams.from_config(cfg, N, t1, t2, Q=qq)
-            e_term = _sieve_error_majorant(alpha, sp, cfg, cap)
-            total += ((t1 * t2) ** cfg.epsilon
-                      * (N * sp.mu_target ** cfg.d / sp.L + e_term))
-            t2 += 1
-        t1 += 1
+    for t1, t2 in congruence_pairs(qq):
+        sp = SieveSideParams.from_config(cfg, N, t1, t2, Q=qq)
+        e_term = _sieve_error_majorant(alpha, sp, cfg, box)
+        total += ((t1 * t2) ** cfg.epsilon
+                  * (N * sp.mu_target ** cfg.d / sp.L + e_term))
     return total

@@ -94,10 +94,6 @@ class FixedReal:
     # --- constructors -------------------------------------------------
 
     @classmethod
-    def from_int(cls, n: int) -> "FixedReal":
-        return cls(n << FRAC_BITS)
-
-    @classmethod
     def from_fraction(cls, fr: Fraction) -> "FixedReal":
         """Truncation of an exact rational: floor(fr * 2**128) / 2**128."""
         return cls((fr.numerator << FRAC_BITS) // fr.denominator)
@@ -180,9 +176,6 @@ class FixedReal:
         """Fractional part in [0, 1), floor-based (also for negatives)."""
         return FixedReal(self.raw & FRAC_MASK)
 
-    def is_zero(self) -> bool:
-        return self.raw == 0
-
     # --- conversions ------------------------------------------------------
 
     def to_fraction(self) -> Fraction:
@@ -207,11 +200,6 @@ class FixedReal:
 
     def __repr__(self) -> str:
         return f"FixedReal({self.decimal(25)})"
-
-
-ZERO = FixedReal(0)
-ONE = FixedReal.from_int(1)
-HALF = FixedReal(SCALE >> 1)
 
 
 def _build_constants() -> dict:
@@ -273,8 +261,7 @@ def scaled_floor_frac(x: FixedReal, n: int) -> tuple[int, FixedReal]:
 
 def dist_nearest_int(x: FixedReal) -> FixedReal:
     """Distance to the nearest integer, a value in [0, 1/2]."""
-    f = x.raw & FRAC_MASK
-    return FixedReal(min(f, SCALE - f))
+    return FixedReal(dist_raw(x.raw))
 
 
 def dist_raw(raw: int) -> int:

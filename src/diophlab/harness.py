@@ -224,13 +224,12 @@ def bound_audit(P: int, cfg: ApproxConfig, table: ArithTable,
     k = cfg.c.k
     d = cfg.d
     a, b = cfg.A, cfg.B
-    mu = (a + b) / (2.0 * a)
     if b * P > table.limit:
         raise RangeError("table limit too small for this window")
     J = max(1, int(float(P) ** (1.0 / (3.0 * k + 2.0)))) if degree is None else degree
     uu = float(P) ** 0.4 if u is None else u
     wp = WindowParams.from_config(cfg, P)
-    delta = wp.delta
+    mu, delta = wp.mu_window, wp.delta
     log2p = math.log(2.0 * P)
     eps = cfg.epsilon
 

@@ -9,13 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diophlab import counting
 from diophlab.arith import build_arith_table
 from diophlab.counting import (
+    DEFAULT_SIEVE_CAP,
     ApproxConfig,
     SieveSideParams,
     WindowParams,
+    _half_box_grid,
     _pair_chunks,
     _pair_ranges,
+    congruence_pairs,
     count_witnesses,
     product_set,
     revalidate_tuple,
@@ -28,8 +32,8 @@ from diophlab.counting import (
     window_counts,
     witness_integral,
 )
-from diophlab.errors import ContractError, RangeError
-from diophlab.fixedreal import CVector, FixedReal, constant
+from diophlab.errors import ContractError, RangeError, ResourceCapError
+from diophlab.fixedreal import CVector, FixedReal, constant, half_box
 
 
 def _trial_prime(m: int) -> bool:
@@ -109,6 +113,61 @@ def reference_fast_general(primes, ps, a, b, cs, exponent, pair_budget=1 << 14):
         overlap = np.clip(pieces_hi - pieces_lo, 0.0, None)
         chunks.append(float(np.sum(overlap)))
     return math.fsum(chunks)
+
+
+def _reference_punctured_box(sp, d_plus_1):
+    """The full box max|m_i| <= L without its centre, as int64 rows."""
+    l_int = int(math.floor(sp.L))
+    axes = [np.arange(-l_int, l_int + 1)] * d_plus_1
+    grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
+                    axis=-1)
+    return grid[np.any(grid != 0, axis=1)]
+
+
+def reference_majorant(alpha, sp, cfg):
+    """The min-form error majorant summed over the full punctured box."""
+    grid = _reference_punctured_box(sp, cfg.d + 1).astype(np.float64)
+    inner = grid[:, 0] / sp.t2 + grid[:, 1:] @ np.array(cfg.c.floats())
+    val = alpha.to_float() * sp.t1 * inner
+    dist = np.abs(val - np.round(val))
+    with np.errstate(divide="ignore"):
+        terms = np.minimum(sp.N / sp.t1, 1.0 / dist)
+    return float(sp.mu_target ** (cfg.d + 1) / sp.t2 * np.sum(terms))
+
+
+def reference_error_raw(alpha, sp, cfg):
+    """The raw exponential sums |S(m)| over the full punctured box."""
+    n_max = sp.N // sp.t1
+    modulus = sp.t2 << 256
+    total = 0.0
+    for m in _reference_punctured_box(sp, cfg.d + 1).tolist():
+        inner = (m[0] << 128) + sp.t2 * sum(
+            mi * ci.raw for mi, ci in zip(m[1:], cfg.c.entries))
+        w = alpha.raw * sp.t1 * inner
+        acc = 0j
+        for n in range(1, n_max + 1):
+            ph = (n * w) % modulus
+            acc += complex(math.cos(2 * math.pi * ph / modulus),
+                           math.sin(2 * math.pi * ph / modulus))
+        total += abs(acc)
+    return float(sp.mu_target ** (cfg.d + 1) / sp.t2 * total)
+
+
+def reference_sieve_error_sum(alpha, cfg, N, Q=None):
+    """The error functional with a full punctured box built per pair."""
+    qq = float(N) ** cfg.epsilon if Q is None else Q
+    total = 0.0
+    t1 = 1
+    while t1 <= qq:
+        t2 = 1
+        while t1 * t2 <= qq:
+            sp = SieveSideParams.from_config(cfg, N, t1, t2, Q=qq)
+            total += ((t1 * t2) ** cfg.epsilon
+                      * (N * sp.mu_target ** cfg.d / sp.L
+                         + reference_majorant(alpha, sp, cfg)))
+            t2 += 1
+        t1 += 1
+    return total
 
 
 #: Slopes for the d >= 2 kernel comparison: the named constants, a dyadic
@@ -473,13 +532,6 @@ class TestWindowCounts:
         main = wp.delta * (wp.b - wp.a * wp.mu_window) * P
         assert 0.5 <= wc.weighted / main <= 1.5
 
-    def test_reverse_pass_identical(self, golden_cfg, table_small):
-        wp = WindowParams.from_config(golden_cfg, 10**4)
-        fwd = window_counts(10**4, wp, golden_cfg, table_small)
-        rev = window_counts(10**4, wp, golden_cfg, table_small, reverse=True)
-        assert fwd.weighted == rev.weighted  # bit-identical via exact summation
-        assert fwd.prime_count == rev.prime_count
-
     def test_prime_window_checked_against_table(self, golden_cfg):
         # a < 1 puts the prime window's end mu*P = 1500 beyond b*P = 1000
         cfg = ApproxConfig(c=golden_cfg.c, epsilon=golden_cfg.epsilon,
@@ -509,6 +561,15 @@ class TestWindowCounts:
 class TestProductSet:
     def test_mu_ge_one_admits_all(self, golden_cfg):
         out = product_set(constant("sqrt3"), golden_cfg, 50, mu=1.0)
+        assert [n for n, _ in out] == list(range(1, 51))
+
+    @pytest.mark.parametrize("mu", [math.nan, 0.0, -1.0])
+    def test_rejects_non_positive_mu(self, golden_cfg, mu):
+        with pytest.raises(ContractError):
+            product_set(constant("sqrt3"), golden_cfg, 50, mu=mu)
+
+    def test_infinite_mu_admits_all(self, golden_cfg):
+        out = product_set(constant("sqrt3"), golden_cfg, 50, mu=math.inf)
         assert [n for n, _ in out] == list(range(1, 51))
 
     def test_naive_recheck(self, golden_cfg):
@@ -590,16 +651,60 @@ class TestSieveSide:
     def test_error_sum_trivialities(self, golden_cfg, table_small):
         alpha = constant("sqrt3")
         assert sieve_error_sum(alpha, golden_cfg, 100, table_small, Q=0.5) == 0.0
-        # Q = 2: pairs (1,1), (1,2), (2,1)
-        sp_pairs = []
-        t1 = 1
-        while t1 <= 2.0:
-            t2 = 1
-            while t1 * t2 <= 2.0:
-                sp_pairs.append((t1, t2))
-                t2 += 1
-            t1 += 1
-        assert sp_pairs == [(1, 1), (1, 2), (2, 1)]
+        assert list(congruence_pairs(0.5)) == []
+        assert list(congruence_pairs(2.0)) == [(1, 1), (1, 2), (2, 1)]
+        q = float(2**18) ** golden_cfg.epsilon  # 3.48...
+        assert list(congruence_pairs(q)) == [(1, 1), (1, 2), (1, 3), (2, 1),
+                                             (3, 1)]
+
+    @pytest.mark.parametrize("dims", [2, 3, 4])
+    @pytest.mark.parametrize("l_int", [0, 1, 2, 3])
+    def test_half_box_grid_is_half_box(self, dims, l_int):
+        rows = _half_box_grid(l_int, dims, DEFAULT_SIEVE_CAP)
+        assert rows.dtype == np.float64
+        want = list(half_box([range(-l_int, l_int + 1)] * dims))
+        assert [tuple(int(x) for x in r) for r in rows] == want
+
+    def test_half_box_grid_caps_the_full_box(self):
+        _half_box_grid(2, 2, 25)
+        with pytest.raises(ResourceCapError, match="box of 25 points"):
+            _half_box_grid(2, 2, 24)
+
+    @pytest.mark.parametrize("cfg_name", ["golden_cfg", "two_dim_cfg"])
+    def test_half_box_sums_match_full_box_reference(self, cfg_name, request,
+                                                     table_small):
+        cfg = request.getfixturevalue(cfg_name)
+        rng = random.Random(20260)
+        for N in (100, 10**3, 10**4, 2**15):
+            for q in (None, 1.5, 2.0):
+                alpha = FixedReal((1 << 128) + rng.getrandbits(128))
+                got = sieve_error_sum(alpha, cfg, N, table_small, Q=q)
+                want = reference_sieve_error_sum(alpha, cfg, N, Q=q)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+                qq = float(N) ** cfg.epsilon if q is None else q
+                for t1, t2 in congruence_pairs(qq):
+                    sp = SieveSideParams.from_config(cfg, N, t1, t2, Q=qq)
+                    res = sieve_side_counts(alpha, sp, cfg, table_small)
+                    assert res.e_bound == pytest.approx(
+                        reference_majorant(alpha, sp, cfg), rel=1e-12, abs=0.0)
+                    # the raw sums cost box * N/t1 Python steps
+                    l_int = int(math.floor(sp.L))
+                    if (2 * l_int + 1) ** (cfg.d + 1) * (N // t1) <= 200_000:
+                        assert sieve_side_error_raw(alpha, sp, cfg) \
+                            == pytest.approx(reference_error_raw(alpha, sp, cfg),
+                                             rel=1e-12, abs=0.0)
+
+    def test_error_sum_builds_one_box_per_call(self, golden_cfg, table_small,
+                                               monkeypatch):
+        builds = []
+
+        def counting_build(*args):
+            builds.append(args)
+            return _half_box_grid(*args)
+
+        monkeypatch.setattr(counting, "_half_box_grid", counting_build)
+        sieve_error_sum(constant("sqrt3"), golden_cfg, 2**18, table_small)
+        assert len(builds) == 1  # shared by the 5 pairs
 
 
 class TestIntervalStructure:
