@@ -200,10 +200,10 @@ def _psi_from_frac(frac: np.ndarray) -> np.ndarray:
     return np.where(frac > 0.0, 0.5 - frac, -0.5)
 
 
-def _suffix_max_abs(z: np.ndarray) -> float:
-    """max over w of |sum_{m >= w} z_m| for the ordered terms z."""
-    suffix = np.cumsum(z[::-1])
-    return float(np.max(np.abs(suffix)))
+#: Multipliers per exact phase call in ``bound_audit``.  It bounds the limb
+#: temporaries of ``frac_multiples`` (about 0.6 MiB at this size) whatever
+#: the size of the batch.
+_PHASE_CHUNK = 1 << 12
 
 
 def bound_audit(P: int, cfg: ApproxConfig, table: ArithTable,
@@ -215,15 +215,23 @@ def bound_audit(P: int, cfg: ApproxConfig, table: ArithTable,
     1 <= |j_i| <= J (all d coordinates); the bound sides are the displayed
     closed forms.  The sums U_tilde, Z1, Z2 and Z2(L) are invariant under
     j -> -j and share one pass over the half index box (``half_box``, each
-    term doubled).  Per theta = j.c, one pass over l computes the inner
-    Lambda-sums once: Z2 reads them as sum b(l) * inner, and each dyadic
-    block [L, min(2L, l_max)] of Z2(L) as sum |b(l)| * |inner|.  Default
-    parameters follow the final choices: degree J = floor(P**(1/(3k+2))),
-    split u = P**(2/5).
+    term doubled).  Since frac(m * (l*theta)) = frac((l*m) * theta) exactly,
+    each theta = j.c evaluates its phases once, on the products l*m of all
+    l, by exact calls in chunks of ``_PHASE_CHUNK``.  The inner
+    Lambda-sums are computed once: Z2 reads them as sum b(l) * inner, and
+    each dyadic block [L, min(2L, l_max)] of Z2(L) as sum |b(l)| * |inner|.
+    Every sum adds in l order, as a loop over l would, so the rows do not
+    depend on the batching.  Default parameters follow the final choices:
+    degree J = floor(P**(1/(3k+2))), split u = P**(2/5); P >= 2 and a
+    finite u >= 1 are required.
     """
     k = cfg.c.k
     d = cfg.d
     a, b = cfg.A, cfg.B
+    if P < 2:
+        raise ContractError(f"P={P} must be at least 2")
+    if u is not None and not (math.isfinite(u) and u >= 1.0):
+        raise ContractError(f"split u={u} must be finite and at least 1")
     if b * P > table.limit:
         raise RangeError("table limit too small for this window")
     J = max(1, int(float(P) ** (1.0 / (3.0 * k + 2.0)))) if degree is None else degree
@@ -271,15 +279,11 @@ def bound_audit(P: int, cfg: ApproxConfig, table: ArithTable,
         dists = dist_multiples(FixedReal(ci_raw), js)
         v_tilde += float(np.sum(_min_terms(P / js.astype(np.float64), dists)))
 
-    # ---- the l-ranges of Z1, Z2 and Z2(L) ------------------------------
-    # Z1: the m-window of each 1 <= l <= u**2
-    u_sq = int(uu * uu)
-    z1_windows = []
-    for l in range(1, u_sq + 1):
-        m_lo = max(1, int(math.ceil(P * a * mu / l)))
-        m_hi = int(math.floor(b * P / l))
-        if m_hi >= m_lo:
-            z1_windows.append((l, np.arange(m_lo, m_hi + 1, dtype=np.int64)))
+    # ---- the multipliers l*m of U_tilde, Z2 and Z1, built once ----------
+    # Layout: ns (U_tilde, l = 1), then l*sub per Z2 term, then l*m per Z1
+    # window, so the Lambda-weighted terms form one prefix.
+    pieces = [ns]
+    weights = [lam_s]
 
     # Z2: the l with b(l) != 0 in [l_min, l_max] and the prime powers m > u
     # of their windows.  Z2(L) sums the dyadic block [L, min(2L, l_max)] of
@@ -290,7 +294,8 @@ def bound_audit(P: int, cfg: ApproxConfig, table: ArithTable,
     # the m-sums below need Lambda on all of [1, bP]
     lam_all = table.von_mangoldt_range(1, n_hi)
     ns_lam = (np.nonzero(lam_all)[0] + 1).astype(np.int64)
-    z2_terms = []  # (l, b(l), m, Lambda(m))
+    z2_terms = []  # (l, b(l), start, end) of its slice of the multipliers
+    pos = ns.size
     for l in range(max(1, l_min), l_max + 1):
         coeff = int(bl[l])
         m1 = max(int(uu) + 1, int(math.ceil(P * a * mu / l)))
@@ -300,7 +305,11 @@ def bound_audit(P: int, cfg: ApproxConfig, table: ArithTable,
         sub = ns_lam[np.searchsorted(ns_lam, m1, side="left"):
                      np.searchsorted(ns_lam, m2, side="right")]
         if sub.size:
-            z2_terms.append((l, coeff, sub, lam_all[sub - 1]))
+            pieces.append(l * sub)
+            weights.append(lam_all[sub - 1])
+            z2_terms.append((l, coeff, pos, pos + sub.size))
+            pos += sub.size
+    n_weighted = pos
     term_ls = [term[0] for term in z2_terms]
     blocks = []  # (L, first and end index into z2_terms)
     L = max(int(uu), 1)
@@ -309,7 +318,41 @@ def bound_audit(P: int, cfg: ApproxConfig, table: ArithTable,
                        bisect_right(term_ls, min(2 * L, l_max))))
         L *= 2
 
+    # Z1: the m-window of each 1 <= l <= u**2; every window past l = bP is
+    # empty.  A window's suffix sums are the cumsum of its reversed terms.
+    # Windows of one power-of-two width W share a gather matrix whose rows
+    # are the reversed windows padded with index -1, the trailing 0j of the
+    # term buffer.  The padding comes after a window's last term and adds 0
+    # to its total, so a row's cumsum holds the window's suffix sums bit for
+    # bit.
+    z1_starts, z1_lengths = [], []
+    for l in range(1, int(min(uu * uu, n_hi)) + 1):
+        m_lo = max(1, int(math.ceil(P * a * mu / l)))
+        m_hi = int(math.floor(b * P / l))
+        if m_hi >= m_lo:
+            pieces.append(l * np.arange(m_lo, m_hi + 1, dtype=np.int64))
+            z1_starts.append(pos)
+            z1_lengths.append(m_hi - m_lo + 1)
+            pos += m_hi - m_lo + 1
+    mults = np.concatenate(pieces)
+    lam_w = np.concatenate(weights)
+    z1_groups = []  # (window numbers, gather matrix)
+    index_type = np.min_scalar_type(-mults.size)  # holds -1 and every index
+    lengths = np.array(z1_lengths, dtype=np.int64)
+    lasts = np.array(z1_starts, dtype=np.int64) + lengths - 1
+    widths = np.array([1 << (n - 1).bit_length() for n in z1_lengths],
+                      dtype=np.int64)
+    for width in np.unique(widths):
+        rows = np.nonzero(widths == width)[0]
+        cols = np.arange(width)
+        gather = (lasts[rows, None] - cols).astype(index_type)
+        gather[cols >= lengths[rows, None]] = -1
+        z1_groups.append((rows, gather))
+
     # ---- U_tilde, Z1, Z2 and Z2(L): one pass over the half index box ---
+    terms = np.zeros(mults.size + 1, dtype=np.complex128)  # last stays 0j
+    weighted = terms[:n_weighted]
+    maxima = np.empty(len(z1_lengths))
     signed = tuple(s * j for j in range(1, J + 1) for s in (1, -1))
     u_tilde = z1 = z2 = 0.0
     block_sums = [0.0] * len(blocks)
@@ -317,23 +360,28 @@ def bound_audit(P: int, cfg: ApproxConfig, table: ArithTable,
         weight = 1.0
         for vi in v:
             weight /= abs(vi)
-        theta_raw = sum(vi * cr for vi, cr in zip(v, craws))
+        theta = FixedReal(sum(vi * cr for vi, cr in zip(v, craws)))
+        for lo in range(0, mults.size, _PHASE_CHUNK):
+            hi = min(lo + _PHASE_CHUNK, mults.size)
+            np.exp(2j * np.pi * frac_multiples(theta, mults[lo:hi]),
+                   out=terms[lo:hi])
 
-        phases = frac_multiples(FixedReal(theta_raw), ns)
-        z = np.sum(lam_s * np.exp(2j * np.pi * phases))
-        u_tilde += 2.0 * weight * abs(z)  # |sum| is invariant under j -> -j
-
+        for rows, gather in z1_groups:
+            suffix = np.cumsum(terms[gather], axis=1)
+            maxima[rows] = np.abs(suffix).max(axis=1)
         acc = 0.0
-        for l, ms in z1_windows:
-            phases = frac_multiples(FixedReal(theta_raw * l), ms)
-            acc += _suffix_max_abs(np.exp(2j * np.pi * phases))
+        for m in maxima.tolist():  # in l order, as a sequential sum
+            acc += m
         z1 += 2.0 * weight * acc
+
+        np.multiply(lam_w, weighted, out=weighted)
+        z = np.sum(weighted[:ns.size])
+        u_tilde += 2.0 * weight * abs(z)  # |sum| is invariant under j -> -j
 
         acc_signed = 0j
         absolute = []
-        for l, coeff, sub, lam_sub in z2_terms:
-            phases = frac_multiples(FixedReal(theta_raw * l), sub)
-            inner = np.sum(lam_sub * np.exp(2j * np.pi * phases))
+        for _, coeff, lo, hi in z2_terms:
+            inner = np.sum(weighted[lo:hi])
             acc_signed += coeff * inner
             absolute.append(abs(coeff) * abs(inner))
         z2 += 2.0 * weight * abs(acc_signed)
@@ -344,7 +392,7 @@ def bound_audit(P: int, cfg: ApproxConfig, table: ArithTable,
             block_sums[i] += 2.0 * weight * acc
 
     z2_l_best = 0.0
-    z2_l_arg = 0
+    z2_l_arg = max(int(uu), 1)  # the first L, kept if no block sum is positive
     for (L, _, _), val in zip(blocks, block_sums):
         if val > z2_l_best:
             z2_l_best, z2_l_arg = val, L

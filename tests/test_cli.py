@@ -85,6 +85,13 @@ class TestChecks:
         assert any(line.startswith("Z1,") for line in lines)
         assert any(line.startswith("T_A,") for line in lines)
 
+    def test_audit_bad_split_exits_config(self, tmp_path):
+        code = dispatch(["audit", "--c", "phi", "--k", "1", "--eps", "0.1",
+                         "--P", "1024", "--u", "nan",
+                         "--out", str(tmp_path / "audit.csv")])
+        assert code == 2
+        assert not (tmp_path / "audit.csv").exists()
+
     def test_vaaler_check(self):
         assert dispatch(["vaaler-check", "--points", "2000"]) == 0
 

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diophlab.errors import ContractError, RangeError, ResourceCapError
 from diophlab.fixedreal import SCALE, CVector, FixedReal, constant, dist_nearest_int
@@ -15,6 +17,7 @@ from diophlab.fourier import (
     exp_sum,
     fejer_tau,
     frac_multiples,
+    frac_raw_parts,
     min_sum_with_bound,
     sawtooth,
     sawtooth_array,
@@ -229,3 +232,17 @@ class TestDistMultiples:
                 r = (int(n) * theta.raw) % SCALE
                 want = min(r, SCALE - r) / SCALE
                 assert abs(g - want) < 1e-14
+
+
+class TestFracRawParts:
+    # bound_audit evaluates frac(m * (l*theta)) as frac((l*m) * theta); the
+    # raw halves must agree exactly, for negative theta (d = 2) as well
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(t=st.integers(-(2**256) + 1, 2**256 - 1),
+           l=st.integers(1, 2**20),
+           m=st.lists(st.integers(1, 2**20), min_size=1, max_size=16))
+    def test_product_multiplier_identity(self, t, l, m):
+        ms = np.array(m, dtype=np.int64)
+        hi_a, lo_a = frac_raw_parts(FixedReal(t * l), ms)
+        hi_b, lo_b = frac_raw_parts(FixedReal(t), l * ms)
+        assert np.array_equal(hi_a, hi_b) and np.array_equal(lo_a, lo_b)

@@ -1,9 +1,12 @@
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from diophlab import harness
 from diophlab.counting import ApproxConfig, witness_integral
 from diophlab.errors import ContractError, RangeError
 from diophlab.fixedreal import FixedReal, constant
@@ -168,6 +171,54 @@ class TestBoundAudit:
             growth = large[label].ratio / small[label].ratio
             assert growth <= math.log(2.0**13) ** 3
 
+    @pytest.mark.parametrize("P, u", [(0, None), (1, None), (-5, None),
+                                      (2**10, 0.0), (2**10, 0.5),
+                                      (2**10, math.nan), (2**10, math.inf)])
+    def test_bad_input_raises_contract_error(self, golden_cfg, table_small,
+                                             P, u):
+        with pytest.raises(ContractError):
+            bound_audit(P, golden_cfg, table_small, u=u)
+
+    def test_huge_split_returns_quickly(self, golden_cfg, table_small):
+        # the Z1 l-range stops at bP, past which every m-window is empty;
+        # with u**2 > bP no Z2 term survives, and Z2(L) keeps L = floor(u)
+        t0 = time.perf_counter()
+        rows = {r.label: r for r in bound_audit(2**10, golden_cfg,
+                                                table_small, u=1e9)}
+        assert time.perf_counter() - t0 < 0.5
+        assert rows["Z2"].exact_value == 0.0
+        assert rows["Z2_L"].exact_value == 0.0
+        assert rows["Z2_L"].parameters["L"] == 10**9
+        assert rows["Z1"].exact_value > 0.0
+
+    def test_one_phase_call_per_theta_chunk(self, golden_cfg, table_small,
+                                            monkeypatch):
+        sizes = []
+
+        def spy(theta, n):
+            sizes.append(len(n))
+            return frac_multiples(theta, n)
+
+        monkeypatch.setattr(harness, "frac_multiples", spy)
+        bound_audit(2**13, golden_cfg, table_small)
+        # one call per (theta, l) pair made 9,218 calls on these same
+        # 205,695 multipliers; each theta's batch is cut into full chunks
+        assert len(sizes) < 100
+        assert sum(sizes) == 205_695
+        assert harness._PHASE_CHUNK in sizes
+
+    def test_audit_memory_bounded(self, golden_cfg, table_big):
+        # phases are evaluated in chunks into one term buffer: about 18 MiB
+        # at this size, against about 59 MiB for one unchunked call per theta
+        bound_audit(2**10, golden_cfg, table_big)
+        tracemalloc.start()
+        try:
+            bound_audit(2**16, golden_cfg, table_big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_doubling_exact_t_a(self, golden_cfg, table_big):
         # Two-point slope check, artifact-derived pin: T_A oscillates, and
         # at this particular pair the raw growth factor is ~3.9, above the
@@ -287,12 +338,22 @@ class TestBoundAuditReference:
     @pytest.mark.parametrize("cfg_name", ["golden_cfg", "two_dim_cfg"])
     def test_theta_sums_bit_identical(self, request, table_small, cfg_name,
                                       window, P):
-        base = request.getfixturevalue(cfg_name)
+        self.assert_theta_sums_match(request.getfixturevalue(cfg_name),
+                                     window, P, table_small)
+
+    def test_theta_sums_bit_identical_across_chunks(self, golden_cfg,
+                                                    table_small):
+        # at 2**13 each theta's batch of multipliers spans several
+        # _PHASE_CHUNKs, so windows and Z2 terms straddle chunk boundaries
+        self.assert_theta_sums_match(golden_cfg, (1.0, 1.5), 2**13,
+                                     table_small)
+
+    @staticmethod
+    def assert_theta_sums_match(base, window, P, table):
         cfg = ApproxConfig(c=base.c, epsilon=base.epsilon,
                            A=window[0], B=window[1])
-        z1, z2, z2_l, z2_l_arg, u_tilde = reference_theta_sums(P, cfg,
-                                                               table_small)
-        rows = {r.label: r for r in bound_audit(P, cfg, table_small)}
+        z1, z2, z2_l, z2_l_arg, u_tilde = reference_theta_sums(P, cfg, table)
+        rows = {r.label: r for r in bound_audit(P, cfg, table)}
         assert rows["Z1"].exact_value == z1
         assert rows["Z2"].exact_value == z2
         assert rows["Z2_L"].exact_value == z2_l
