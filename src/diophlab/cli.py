@@ -17,6 +17,8 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .arith import build_arith_table
 from .counting import (
@@ -125,11 +127,14 @@ def _instance(values: dict) -> ApproxConfig:
         raise ConfigError(str(err)) from None
 
 
+def _int_list(text) -> list[int]:
+    """The ints of a comma-separated list such as ``Ngrid`` or ``Pgrid``."""
+    return [int(t) for t in str(text).split(",") if t.strip()]
+
+
 def _n_grid(values: dict) -> list[int]:
     text = values.get("Ngrid")
-    if text:
-        return [int(t) for t in str(text).split(",") if t.strip()]
-    return [2 ** e for e in range(10, 21)]
+    return _int_list(text) if text else [2 ** e for e in range(10, 21)]
 
 
 # ----------------------------------------------------------------------
@@ -189,10 +194,8 @@ def _cmd_upper(values: dict) -> int:
 
 def _cmd_audit(values: dict) -> int:
     cfg = _instance(values)
-    if values.get("Pgrid"):
-        p_list = [int(t) for t in str(values["Pgrid"]).split(",") if t.strip()]
-    else:
-        p_list = [int(values.get("P", 2 ** 13))]
+    p_list = (_int_list(values["Pgrid"]) if values.get("Pgrid")
+              else [int(values.get("P", 2 ** 13))])
     out = str(values.get("out", "audit.csv"))
     table = build_arith_table(int(math.ceil(cfg.B * max(p_list))) + 2)
     header = ["label", "P", "exact", "bound", "ratio", "J", "u"]
@@ -239,8 +242,6 @@ def _cmd_sieve_side(values: dict) -> int:
 
 
 def _cmd_vaaler_check(values: dict) -> int:
-    import numpy as np
-
     grid_points = int(values.get("points", 10000))
     xs = (np.arange(grid_points) + 0.5) / grid_points
     ok = True
@@ -273,8 +274,6 @@ def _cmd_vaughan_check(values: dict) -> int:
         ok = ok and good
         print(f"u=v={uv}: max identity error {worst:.3e}: "
               f"{'ok' if good else 'FAIL'}")
-    import numpy as np
-
     bl = b_array(100000, 31.0, table)
     dl = np.zeros(100001, dtype=np.int64)  # divisor counts by direct sieve
     for dd in range(1, 100001):

@@ -107,7 +107,7 @@ class WindowParams:
     """Bookkeeping quantities of one dyadic prime window [P, mu*P).
 
     mu_window = (a+b)/(2a); eta = (mu*P)**(eps-gamma); delta = min(c)*eta/2;
-    nu = eta/(mu*P) * min(1/2, 1/c_1, ..., 1/c_d).
+    nu = eta/(mu*P) * min(1/2, 1/c_1, ..., 1/c_d); (a, b) = (A, B).
     """
 
     P: int
@@ -119,17 +119,19 @@ class WindowParams:
     nu: float
 
     @classmethod
-    def from_config(cls, cfg: ApproxConfig, P: int,
-                    a: float | None = None, b: float | None = None) -> "WindowParams":
-        a = cfg.A if a is None else a
-        b = cfg.B if b is None else b
-        if not (0 < a < b):
-            raise ContractError("window endpoints must satisfy 0 < a < b")
+    def from_config(cls, cfg: ApproxConfig, P: int) -> "WindowParams":
+        a, b = cfg.A, cfg.B
         mu = (a + b) / (2.0 * a)
         eta = (mu * P) ** cfg.exponent
         delta = min(cfg.c.floats()) * eta / 2.0
         nu = eta / (mu * P) * min(0.5, *(1.0 / ci for ci in cfg.c.floats()))
         return cls(P=P, a=a, b=b, mu_window=mu, eta=eta, delta=delta, nu=nu)
+
+    @property
+    def lambda_window(self) -> tuple[int, int]:
+        """[ceil(P*a*mu), floor(b*P)], the n of the Lambda-weighted sums."""
+        return (int(math.ceil(self.P * self.a * self.mu_window)),
+                int(math.floor(self.b * self.P)))
 
 
 @dataclass(frozen=True)
@@ -157,15 +159,19 @@ class SieveSideParams:
     t1: int
     t2: int
 
+    def __post_init__(self):
+        if not 0.0 < self.mu_target <= 1.0:
+            raise ContractError(f"mu_target={self.mu_target} must be in (0, 1]")
+        if self.t1 < 1 or self.t2 < 1:
+            raise ContractError("congruence moduli must be >= 1")
+        if self.t1 * self.t2 > self.Q:
+            raise ContractError("need t1*t2 <= Q")
+
     @classmethod
     def from_config(cls, cfg: ApproxConfig, N: int, t1: int = 1, t2: int = 1,
                     Q: float | None = None) -> "SieveSideParams":
         mu = float(N) ** cfg.exponent
         qq = float(N) ** cfg.epsilon if Q is None else Q
-        if t1 < 1 or t2 < 1:
-            raise ContractError("congruence moduli must be >= 1")
-        if t1 * t2 > qq:
-            raise ContractError("need t1*t2 <= Q")
         return cls(N=N, mu_target=mu, Q=qq, L=qq**3 / mu, t1=t1, t2=t2)
 
 
@@ -287,29 +293,24 @@ def _exact_prime_segments(a, b, cfg: ApproxConfig, N: int, table: ArithTable):
     D = p * 2**128 * prod(craw_i); every admissible-alpha interval endpoint
     for the prime p is an exact multiple of 1/D.
     """
-    if N < 2:
-        return
     exponent = cfg.exponent
     craws = [ci.raw for ci in cfg.c.entries]
     pc = 1
     for cr in craws:
         pc *= cr
     cofs = [pc // cr for cr in craws]
-    a_f = float(Fraction(a))
-    b_f = float(Fraction(b))
     base = pc << FRAC_BITS
-    for p in table.primes_between(2, N):
-        p = int(p)
+    primes = table.primes
+    ps = _primes_upto(primes, N)
+    r_lo, r_hi = _pair_ranges(primes, ps, float(Fraction(a)), float(Fraction(b)))
+    for p, i, j in zip(ps.tolist(), r_lo.tolist(), r_hi.tolist()):
         D = p * base
         aD = _scaled_endpoint(a, D)
         bD = _scaled_endpoint(b, D)
         eta_int = int(math.ldexp(float(p) ** exponent, FRAC_BITS))
         eta_off = eta_int * pc
-        r_lo = max(2, int(math.floor(a_f * p)) - 1)
-        r_hi = int(math.ceil(b_f * p)) + 1
         segments = []
-        for r in table.primes_between(r_lo, r_hi):
-            r = int(r)
+        for r in primes[i:j].tolist():
             lo = r * base
             hi = lo + eta_off
             if lo < aD:
@@ -355,6 +356,10 @@ def _index_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     lens = stops - starts
     return np.arange(int(lens.sum())) + np.repeat(starts - (np.cumsum(lens) - lens),
                                                   lens)
+
+
+def _primes_upto(primes: np.ndarray, N: int) -> np.ndarray:
+    return primes[:np.searchsorted(primes, N, side="right")]
 
 
 def _pair_ranges(primes: np.ndarray, pf: np.ndarray, a: float, b: float):
@@ -547,7 +552,7 @@ def witness_integral(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
         return _integral_exact(a, b, cfg, N, table)
     a_f, b_f = float(a_fr), float(b_fr)
     primes = table.primes
-    pf = primes[:np.searchsorted(primes, N, side="right")].astype(np.float64)
+    pf = _primes_upto(primes, N).astype(np.float64)
     if cfg.d == 1:
         return _d1_band_sum(primes, pf, a_f, b_f, cfg.c.entries[0], cfg.exponent)
     return _box_sum(primes, pf, *_pair_ranges(primes, pf, a_f, b_f), a_f, b_f,
@@ -624,11 +629,11 @@ def _ceil_raw(raw: int) -> int:
     return -((-raw) >> FRAC_BITS)
 
 
-def window_counts(P: int, wp: WindowParams, cfg: ApproxConfig,
-                  table: ArithTable, delta: float | None = None) -> WindowCounts:
+def window_counts(wp: WindowParams, cfg: ApproxConfig, table: ArithTable,
+                  delta: float | None = None) -> WindowCounts:
     """Lambda-weighted and prime counts of lattice hits over one window.
 
-    weighted = sum over P*a*mu <= n <= b*P of Lambda(n) * prod_i #(integers
+    weighted = sum over n in wp.lambda_window of Lambda(n) * prod_i #(integers
     in [c_i n, c_i n + delta)); prime_count is the same product summed over
     primes r only; solutions = primes_in_window * prime_count.  One pass over
     the Lambda support serves both sums: every prime of the range is in it.
@@ -640,13 +645,12 @@ def window_counts(P: int, wp: WindowParams, cfg: ApproxConfig,
         raise ContractError("delta must be positive")
     delta_int = _dyadic_scaled(dl, FRAC_BITS)
     craws = [ci.raw for ci in cfg.c.entries]
-    n_lo = int(math.ceil(P * wp.a * wp.mu_window))
-    n_hi = int(math.floor(wp.b * P))
+    P = wp.P
+    n_lo, n_hi = wp.lambda_window
     if n_hi > table.limit:
         raise RangeError("window end exceeds table limit")
     # the primes p of the window [P, mu*P), mu*P itself excluded
-    mu_hi = wp.mu_window * P
-    r_hi = int(math.ceil(mu_hi)) - 1 if float(int(mu_hi)) == mu_hi else int(math.floor(mu_hi))
+    r_hi = math.ceil(wp.mu_window * P) - 1
     if r_hi > table.limit:
         raise RangeError("prime window end mu*P exceeds table limit")
     if n_lo > n_hi:
@@ -717,26 +721,16 @@ def sieve_side_counts(alpha: FixedReal, sp: SieveSideParams, cfg: ApproxConfig,
     """Exact congruence-window count, its main term, and the error majorant.
 
     s_exact counts 1 <= n <= N/t1 with frac(n t1 alpha / t2) < mu/t2 and
-    frac(n t1 c_i alpha) < mu for all i (exact integer tests).  main_term =
-    N mu**(d+1)/(t1 t2).  e_bound evaluates the min-form majorant of the
-    exponential-sum error over the punctured box max|m| <= L.
+    frac(n t1 c_i alpha) < mu for all i.  As mu <= 1, these are the members
+    m = n t1 of ``product_set`` with t2 | floor(m alpha), so s_exact filters
+    the product set by (t1, t2).  main_term = N mu**(d+1)/(t1 t2).  e_bound
+    evaluates the min-form majorant of the exponential-sum error over the
+    punctured box max|m| <= L.
     """
     t1, t2, N = sp.t1, sp.t2, sp.N
     mu = sp.mu_target
-    mu_int = _dyadic_scaled(mu, FRAC_BITS)
-    mod0 = t2 << FRAC_BITS
-    slopes = [ci.raw * alpha.raw for ci in cfg.c.entries]
-    mod_i = 1 << 256
-    thr256 = mu_int << FRAC_BITS
-    n_max = N // t1
-    s_exact = 0
-    a_raw = alpha.raw
-    for n in range(1, n_max + 1):
-        if (n * t1 * a_raw) % mod0 >= mu_int:
-            continue
-        if any((n * t1 * s) % mod_i >= thr256 for s in slopes):
-            continue
-        s_exact += 1
+    s_exact = sum(1 for m, v in product_set(alpha, cfg, N, mu)
+                  if m % t1 == 0 and v // m % t2 == 0)
     main = N * mu ** (cfg.d + 1) / (t1 * t2)
     box = _half_box_grid(int(math.floor(sp.L)), cfg.d + 1, cap)
     e_bound = _sieve_error_majorant(alpha, sp, cfg, box)

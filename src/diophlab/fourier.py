@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, RangeError, ResourceCapError
-from .fixedreal import FRAC_MASK, SCALE, CVector, FixedReal, half_box
+from .fixedreal import (FRAC_MASK, SCALE, CVector, FixedReal, half_box,
+                        inner_product)
 
 TWO_PI = 2.0 * math.pi
 
@@ -244,10 +245,20 @@ def box_min_sum(h: tuple[int, ...], m_max: int, x: float, c: CVector,
     x_over_m = x / ms.astype(np.float64)
     total = 0.0
     for v in half_box([range(-hi, hi + 1) for hi in h]):
-        theta = FixedReal(sum(vi * ci.raw for vi, ci in zip(v, c.entries)))
-        dists = dist_multiples(theta, ms)
+        dists = dist_multiples(inner_product(v, c), ms)
         total += float(np.sum(_min_terms(x_over_m, dists)))
     return 2.0 * total
+
+
+def weighted_index_box(degree: int, c: CVector):
+    """(1/|j_1...j_d|, j.c) for one of each {j, -j} with 1 <= |j_i| <= degree:
+    j_1 > 0, the other coordinates in the order 1, -1, 2, -2, ..., -degree."""
+    signed = tuple(s * j for j in range(1, degree + 1) for s in (1, -1))
+    for v in half_box([range(1, degree + 1)] + [signed] * (c.d - 1)):
+        weight = 1.0
+        for vi in v:
+            weight /= abs(vi)
+        yield weight, inner_product(v, c)
 
 
 def dyadic_weighted_min_sum(m_max: int, x: float, degree: int, c: CVector,
@@ -265,15 +276,8 @@ def dyadic_weighted_min_sum(m_max: int, x: float, degree: int, c: CVector,
         raise ResourceCapError(f"{n_terms} terms exceed cap {cap}")
     ms = np.arange(1, m_max + 1, dtype=np.int64)
     x_over_m = x / ms.astype(np.float64)
-    # one of each {j, -j}: j_1 > 0, the other coordinates in the order
-    # 1, -1, 2, -2, ..., degree, -degree
-    signed = tuple(s * j for j in range(1, degree + 1) for s in (1, -1))
     exact = 0.0
-    for v in half_box([range(1, degree + 1)] + [signed] * (d - 1)):
-        weight = 1.0
-        for vi in v:
-            weight /= abs(vi)
-        theta = FixedReal(sum(vi * ci.raw for vi, ci in zip(v, c.entries)))
+    for weight, theta in weighted_index_box(degree, c):
         dists = dist_multiples(theta, ms)
         exact += 2.0 * weight * float(np.sum(_min_terms(x_over_m, dists)))
     k = c.k

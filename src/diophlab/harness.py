@@ -28,7 +28,7 @@ from .counting import (
     witness_integral,
 )
 from .errors import ContractError, RangeError
-from .fixedreal import FixedReal, half_box
+from .fixedreal import FixedReal
 from .parallel import map_ordered
 from .fourier import (
     VaalerPolynomial,
@@ -36,6 +36,7 @@ from .fourier import (
     dist_multiples,
     fejer_tau,
     frac_multiples,
+    weighted_index_box,
 )
 from .vaughan import b_array
 
@@ -214,16 +215,17 @@ def bound_audit(P: int, cfg: ApproxConfig, table: ArithTable,
     The exact sides are direct summations over the full index box
     1 <= |j_i| <= J (all d coordinates); the bound sides are the displayed
     closed forms.  The sums U_tilde, Z1, Z2 and Z2(L) are invariant under
-    j -> -j and share one pass over the half index box (``half_box``, each
-    term doubled).  Since frac(m * (l*theta)) = frac((l*m) * theta) exactly,
-    each theta = j.c evaluates its phases once, on the products l*m of all
-    l, by exact calls in chunks of ``_PHASE_CHUNK``.  The inner
-    Lambda-sums are computed once: Z2 reads them as sum b(l) * inner, and
-    each dyadic block [L, min(2L, l_max)] of Z2(L) as sum |b(l)| * |inner|.
-    Every sum adds in l order, as a loop over l would, so the rows do not
-    depend on the batching.  Default parameters follow the final choices:
-    degree J = floor(P**(1/(3k+2))), split u = P**(2/5); P >= 2 and a
-    finite u >= 1 are required.
+    j -> -j and share one pass over the half index box
+    (``weighted_index_box``, each term doubled).  Since frac(m * (l*theta))
+    = frac((l*m) * theta) exactly, each theta = j.c evaluates its phases
+    once, on the products l*m of all l, by exact calls in chunks of
+    ``_PHASE_CHUNK``.  The inner Lambda-sums are computed once: Z2 reads
+    them as sum b(l) * inner, and each dyadic block [L, min(2L, l_max)] of
+    Z2(L) as sum |b(l)| * |inner|.  Every sum adds in l order, as a loop
+    over l would, so the rows do not depend on the batching.  Default
+    parameters follow the final choices: degree J = floor(P**(1/(3k+2))),
+    split u = P**(2/5); P >= 2, a nonempty ``WindowParams.lambda_window``
+    and a finite u >= 1 are required.
     """
     k = cfg.c.k
     d = cfg.d
@@ -232,30 +234,29 @@ def bound_audit(P: int, cfg: ApproxConfig, table: ArithTable,
         raise ContractError(f"P={P} must be at least 2")
     if u is not None and not (math.isfinite(u) and u >= 1.0):
         raise ContractError(f"split u={u} must be finite and at least 1")
+    wp = WindowParams.from_config(cfg, P)
+    n_lo, n_hi = wp.lambda_window
+    if n_lo > n_hi:
+        raise ContractError(f"P={P} has an empty Lambda window [{n_lo}, {n_hi}]")
     if b * P > table.limit:
         raise RangeError("table limit too small for this window")
     J = max(1, int(float(P) ** (1.0 / (3.0 * k + 2.0)))) if degree is None else degree
     uu = float(P) ** 0.4 if u is None else u
-    wp = WindowParams.from_config(cfg, P)
     mu, delta = wp.mu_window, wp.delta
     log2p = math.log(2.0 * P)
     eps = cfg.epsilon
 
-    n_lo = int(math.ceil(P * a * mu))
-    n_hi = int(math.floor(b * P))
     lam = table.von_mangoldt_range(n_lo, n_hi)
     support = np.nonzero(lam)[0]
     ns = (support + n_lo).astype(np.int64)
     lam_s = lam[support]
 
-    craws = [ci.raw for ci in cfg.c.entries]
-
     # ---- T_A and U_A: sawtooth and polynomial product sums -------------
     poly = VaalerPolynomial.build(J)
     prod_psi = np.ones(ns.size)
     prod_star = np.ones(ns.size)
-    for ci_raw in craws:
-        fr = frac_multiples(FixedReal(ci_raw), ns)
+    for ci in cfg.c.entries:
+        fr = frac_multiples(ci, ns)
         # frac(c n + delta) from exact frac(c n); delta is a float offset
         fr_delta = (fr + delta) % 1.0
         prod_psi *= _psi_from_frac(fr_delta) - _psi_from_frac(fr)
@@ -267,16 +268,16 @@ def bound_audit(P: int, cfg: ApproxConfig, table: ArithTable,
     # ---- V_A exact and V_d tilde ---------------------------------------
     all_n = np.arange(n_lo, n_hi + 1, dtype=np.int64)
     v_a = 0.0
-    for ci_raw in craws:
-        fr = frac_multiples(FixedReal(ci_raw), all_n)
+    for ci in cfg.c.entries:
+        fr = frac_multiples(ci, all_n)
         v_a += float(np.sum(fejer_tau(J, (-(fr + delta)) % 1.0)
                             + fejer_tau(J, (-fr) % 1.0)))
     v_a *= log2p
 
     v_tilde = 0.0
     js = np.arange(1, J + 1, dtype=np.int64)
-    for ci_raw in craws:
-        dists = dist_multiples(FixedReal(ci_raw), js)
+    for ci in cfg.c.entries:
+        dists = dist_multiples(ci, js)
         v_tilde += float(np.sum(_min_terms(P / js.astype(np.float64), dists)))
 
     # ---- the multipliers l*m of U_tilde, Z2 and Z1, built once ----------
@@ -353,14 +354,9 @@ def bound_audit(P: int, cfg: ApproxConfig, table: ArithTable,
     terms = np.zeros(mults.size + 1, dtype=np.complex128)  # last stays 0j
     weighted = terms[:n_weighted]
     maxima = np.empty(len(z1_lengths))
-    signed = tuple(s * j for j in range(1, J + 1) for s in (1, -1))
     u_tilde = z1 = z2 = 0.0
     block_sums = [0.0] * len(blocks)
-    for v in half_box([range(1, J + 1)] + [signed] * (d - 1)):
-        weight = 1.0
-        for vi in v:
-            weight /= abs(vi)
-        theta = FixedReal(sum(vi * cr for vi, cr in zip(v, craws)))
+    for weight, theta in weighted_index_box(J, cfg.c):
         for lo in range(0, mults.size, _PHASE_CHUNK):
             hi = min(lo + _PHASE_CHUNK, mults.size)
             np.exp(2j * np.pi * frac_multiples(theta, mults[lo:hi]),

@@ -189,7 +189,7 @@ def test_criterion_06_window_main_term(golden_cfg, table_big):
     t0 = time.perf_counter()
     P = 10**6
     wp = WindowParams.from_config(golden_cfg, P)
-    wc = window_counts(P, wp, golden_cfg, table_big)
+    wc = window_counts(wp, golden_cfg, table_big)
     main = wp.delta ** golden_cfg.d * (wp.b - wp.a * wp.mu_window) * P
     ratio = wc.weighted / main
     report(6, 0.8 <= ratio <= 1.2,

@@ -515,20 +515,20 @@ class TestGrowthTarget:
 class TestWindowCounts:
     def test_degenerate_wide_delta(self, golden_cfg, table_small):
         wp = WindowParams.from_config(golden_cfg, 1000)
-        wc = window_counts(1000, wp, golden_cfg, table_small, delta=1.5)
+        wc = window_counts(wp, golden_cfg, table_small, delta=1.5)
         lam_sum = sum(table_small.von_mangoldt(n)
                       for n in range(int(math.ceil(1500.0)), 2001))
         assert wc.weighted >= lam_sum - 1e-9
 
     def test_degenerate_tiny_delta(self, golden_cfg, table_small):
         wp = WindowParams.from_config(golden_cfg, 1000)
-        wc = window_counts(1000, wp, golden_cfg, table_small, delta=1e-30)
+        wc = window_counts(wp, golden_cfg, table_small, delta=1e-30)
         assert wc.weighted == 0.0 and wc.prime_count == 0
 
     def test_golden_main_term(self, golden_cfg, table_big):
         P = 10**5
         wp = WindowParams.from_config(golden_cfg, P)
-        wc = window_counts(P, wp, golden_cfg, table_big)
+        wc = window_counts(wp, golden_cfg, table_big)
         main = wp.delta * (wp.b - wp.a * wp.mu_window) * P
         assert 0.5 <= wc.weighted / main <= 1.5
 
@@ -539,15 +539,15 @@ class TestWindowCounts:
         wp = WindowParams.from_config(cfg, 1000)
         for limit in (1000, 1498):
             with pytest.raises(RangeError):
-                window_counts(1000, wp, cfg, build_arith_table(limit))
+                window_counts(wp, cfg, build_arith_table(limit))
         for limit in (1499, 1600):
-            wc = window_counts(1000, wp, cfg, build_arith_table(limit))
+            wc = window_counts(wp, cfg, build_arith_table(limit))
             assert wc.primes_in_window == 71
             assert wc.solutions == 781
 
     def test_solution_product(self, golden_cfg, table_small):
         wp = WindowParams.from_config(golden_cfg, 5000)
-        wc = window_counts(5000, wp, golden_cfg, table_small)
+        wc = window_counts(wp, golden_cfg, table_small)
         assert wc.solutions == wc.primes_in_window * wc.prime_count
 
     def test_window_parameters(self, golden_cfg):
@@ -624,6 +624,41 @@ class TestSieveSide:
             c2 = (n * 2 * cf * af) % 1 < Fraction(mu)
             naive += bool(c1 and c2)
         assert res.s_exact == naive
+
+    @pytest.mark.parametrize("cfg_name", ["golden_cfg", "two_dim_cfg"])
+    def test_every_pair_matches_fraction_oracle(self, cfg_name, request,
+                                                table_small):
+        # s_exact for every pair of congruence_pairs(6), against exact
+        # rational tests; L = 1 keeps the error box small
+        cfg = request.getfixturevalue(cfg_name)
+        rng = random.Random(20262)
+        cs = [ci.to_fraction() for ci in cfg.c.entries]
+        for N in (500, 2000):
+            for mu in (float(N) ** cfg.exponent, 1.0):
+                mu_fr = Fraction(mu)
+                for _ in range(2):
+                    alpha = FixedReal((1 << 128) + rng.getrandbits(128))
+                    af = alpha.to_fraction()
+                    slopes_ok = [all((m * c * af) % 1 < mu_fr for c in cs)
+                                 for m in range(N + 1)]
+                    for t1, t2 in congruence_pairs(6.0):
+                        sp = SieveSideParams(N=N, mu_target=mu, Q=6.0, L=1.0,
+                                             t1=t1, t2=t2)
+                        want = sum(1 for n in range(1, N // t1 + 1)
+                                   if slopes_ok[n * t1]
+                                   and (n * t1 * af / t2) % 1 < mu_fr / t2)
+                        res = sieve_side_counts(alpha, sp, cfg, table_small)
+                        assert res.s_exact == want, (N, mu, t1, t2)
+
+    @pytest.mark.parametrize("mu", [math.nan, 0.0, -1.0, 1.5])
+    def test_params_reject_mu_outside_unit_interval(self, mu):
+        with pytest.raises(ContractError, match="mu_target"):
+            SieveSideParams(N=100, mu_target=mu, Q=10.0, L=1.0, t1=1, t2=1)
+
+    @pytest.mark.parametrize("t1, t2", [(0, 1), (1, 0), (-1, 2), (3, 4)])
+    def test_params_check_moduli_when_built_directly(self, t1, t2):
+        with pytest.raises(ContractError):
+            SieveSideParams(N=100, mu_target=0.5, Q=10.0, L=1.0, t1=t1, t2=t2)
 
     def test_error_bound_inequality(self, golden_cfg, table_small):
         alpha = constant("sqrt3")

@@ -22,6 +22,7 @@ from diophlab.fourier import (
     sawtooth,
     sawtooth_array,
     vaaler_weight,
+    weighted_index_box,
 )
 
 BUDGET = 2.0**-40
@@ -219,6 +220,25 @@ class TestDyadicWeightedMinSum:
         assert 0 < exact < bound
         # pinned from the first run of this code base
         assert exact == pytest.approx(987.9327, rel=1e-4)
+
+
+class TestWeightedIndexBox:
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_one_of_each_pair_in_order(self, two_dim_cfg, degree):
+        cv = two_dim_cfg.c
+        raws = [c.raw for c in cv.entries]
+        signed = [s * j for j in range(1, degree + 1) for s in (1, -1)]
+        want = [(1.0 / j1 / abs(j2), j1 * raws[0] + j2 * raws[1])
+                for j1 in range(1, degree + 1) for j2 in signed]
+        got = [(w, theta.raw) for w, theta in weighted_index_box(degree, cv)]
+        assert got == want  # weights bit for bit, thetas exact
+        assert len(got) == (2 * degree) ** 2 // 2
+
+    def test_d1_is_the_positive_half(self):
+        cv = CVector((constant("phi"),), 1.0)
+        got = [(w, theta) for w, theta in weighted_index_box(4, cv)]
+        assert got == [(1.0 / j, FixedReal(j * constant("phi").raw))
+                       for j in range(1, 5)]
 
 
 class TestDistMultiples:

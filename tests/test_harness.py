@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from diophlab import harness
-from diophlab.counting import ApproxConfig, witness_integral
+from diophlab.counting import (ApproxConfig, WindowParams, window_counts,
+                               witness_integral)
 from diophlab.errors import ContractError, RangeError
 from diophlab.fixedreal import FixedReal, constant
 from diophlab.fourier import dist_multiples, frac_multiples
@@ -178,6 +179,21 @@ class TestBoundAudit:
                                              P, u):
         with pytest.raises(ContractError):
             bound_audit(P, golden_cfg, table_small, u=u)
+
+    @pytest.mark.parametrize("P", [2, 3, 4, 5, 9])
+    def test_empty_lambda_window_raises_contract_error(self, golden_cfg, P):
+        # with B/A = 1.1 the window [ceil(1.05 P), floor(1.1 P)] is empty
+        # for these P, although the table covers it
+        from diophlab.arith import build_arith_table
+
+        cfg = ApproxConfig(c=golden_cfg.c, epsilon=golden_cfg.epsilon,
+                           A=1.0, B=1.1)
+        table = build_arith_table(1000)
+        with pytest.raises(ContractError, match="empty Lambda window"):
+            bound_audit(P, cfg, table)
+        wp = WindowParams.from_config(cfg, P)
+        assert window_counts(wp, cfg, table).weighted == 0.0
+        assert len(bound_audit(10, cfg, table)) == 9
 
     def test_huge_split_returns_quickly(self, golden_cfg, table_small):
         # the Z1 l-range stops at bP, past which every m-window is empty;
