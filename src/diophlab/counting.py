@@ -28,8 +28,9 @@ import numpy as np
 
 from .arith import ArithTable
 from .errors import ContractError, RangeError, ResourceCapError
-from .fixedreal import FRAC_BITS, FRAC_MASK, CVector, FixedReal
-from .fourier import _min_terms, frac_multiples
+from .fixedreal import FRAC_BITS, FRAC_MASK, SCALE, CVector, FixedReal
+from .fourier import (LIMB_MULTIPLIER_BOUND, _min_terms, fixed_limbs,
+                      frac_multiples, limb_product, limbs_less)
 
 #: Largest N for which witness_integral defaults to the exact integer path.
 EXACT_INTEGRAL_DEFAULT_LIMIT = 20_000
@@ -40,11 +41,9 @@ DEFAULT_SIEVE_CAP = 20_000_000
 #: Most (p, r) pairs the fast path's box kernel holds at once.
 PAIR_BUDGET = 1 << 14
 
-
-def _dyadic_scaled(x: float, bits: int) -> int:
-    """floor(x * 2**bits) computed exactly for a binary64 input."""
-    fr = Fraction(x)
-    return (fr.numerator << bits) // fr.denominator
+#: Most multipliers n one limb scan of the fractional-part tests holds at
+#: once; with 2**12, a loop of witness queries peaked 0.3 MiB higher.
+SCAN_CHUNK = 1 << 11
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +191,11 @@ def count_witnesses(alpha: FixedReal, cfg: ApproxConfig, N: int,
     """Count witnesses with p <= N; optionally return the tuples.
 
     Linear in the number of primes: r and the q_i are forced to be the
-    floors of the respective products, so no inner search is needed.
+    floors of the respective products, so no inner search is needed.  The
+    limb kernel of ``fourier`` tests SCAN_CHUNK primes at a time: r prime
+    first, then frac(p alpha) and each frac(p c_i alpha) against thr_p =
+    Python's float(p) ** (eps - gamma) (numpy's ``**`` differs on some p).
+    Python ints are built only for the survivors, and only when ``collect``.
     """
     if alpha.raw <= 0:
         raise ContractError("alpha must be positive")
@@ -207,46 +210,35 @@ def count_witnesses(alpha: FixedReal, cfg: ApproxConfig, N: int,
             f"build the table up to ceil(alpha*N)+1"
         )
     exponent = cfg.exponent
-    s0 = alpha.raw
     slopes = [ci.raw * alpha.raw for ci in cfg.c.entries]  # 256 frac bits
-    mask256 = (1 << 256) - 1
-    count = 0
-    tuples: list[SolutionTuple] = []
-    for p in table.primes_between(2, N):
-        p = int(p)
-        thr = int(math.ldexp(float(p) ** exponent, FRAC_BITS))
-        prod0 = p * s0
-        fr0 = prod0 & FRAC_MASK
-        if not (0 < fr0 < thr):
-            continue
-        r = prod0 >> FRAC_BITS
-        if r < 2 or not table.prime_flags[r]:
-            continue
-        thr256 = thr << FRAC_BITS
-        qs = []
-        ok = True
-        slacks = []
+    found: list[int] = []
+    primes = table.primes_between(2, N)
+    for start in range(0, primes.size, SCAN_CHUNK):
+        p = primes[start:start + SCAN_CHUNK]
+        prod = limb_product(alpha.raw, p, 6)
+        r = prod[4] | (prod[5] << np.uint64(32))  # r <= table.limit < 2**64
+        keep = np.any(prod[:4], axis=0) & (r >= 2)
+        keep[keep] = table.prime_flags[r[keep]]
+        p, frac = p[keep], [x[keep] for x in prod[:4]]
+        thr = fixed_limbs(np.array([float(x) ** exponent for x in p.tolist()]))
+        keep = limbs_less(frac, thr)
         for s in slopes:
-            prod = p * s
-            fr = prod & mask256
-            if not (0 < fr < thr256):
-                ok = False
-                break
-            q = prod >> 256
-            if q < 1:
-                ok = False
-                break
-            qs.append(q)
-            slacks.append(FixedReal(fr >> FRAC_BITS))
-        if not ok:
-            continue
-        count += 1
-        if collect:
-            tuples.append(SolutionTuple(
-                p=p, r=int(r), q=tuple(qs),
-                slack0=FixedReal(fr0), slack=tuple(slacks),
-            ))
-    return count, tuples
+            p, thr = p[keep], [t[keep] for t in thr]
+            # limbs 0-7 are the fraction, limbs 8 and up are q
+            prod = limb_product(s, p, max(8, (s.bit_length() + 63) // 32))
+            keep = (np.any(prod[:8], axis=0) & limbs_less(prod[4:8], thr)
+                    & np.any(prod[8:], axis=0))
+        found += p[keep].tolist()
+    tuples = []
+    for pr in found if collect else ():
+        prod0 = pr * alpha.raw
+        prods = [pr * s for s in slopes]
+        tuples.append(SolutionTuple(
+            p=pr, r=prod0 >> FRAC_BITS, q=tuple(x >> 256 for x in prods),
+            slack0=FixedReal(prod0 & FRAC_MASK),
+            slack=tuple(FixedReal((x >> FRAC_BITS) & FRAC_MASK) for x in prods),
+        ))
+    return len(found), tuples
 
 
 def revalidate_tuple(tup: SolutionTuple, alpha: FixedReal,
@@ -625,10 +617,6 @@ def target_growth_alt(cfg: ApproxConfig, N: int) -> float:
 # Window counts
 # ----------------------------------------------------------------------
 
-def _ceil_raw(raw: int) -> int:
-    return -((-raw) >> FRAC_BITS)
-
-
 def window_counts(wp: WindowParams, cfg: ApproxConfig, table: ArithTable,
                   delta: float | None = None) -> WindowCounts:
     """Lambda-weighted and prime counts of lattice hits over one window.
@@ -643,8 +631,7 @@ def window_counts(wp: WindowParams, cfg: ApproxConfig, table: ArithTable,
     dl = wp.delta if delta is None else delta
     if dl <= 0:
         raise ContractError("delta must be positive")
-    delta_int = _dyadic_scaled(dl, FRAC_BITS)
-    craws = [ci.raw for ci in cfg.c.entries]
+    D, g = divmod(int(math.ldexp(dl, FRAC_BITS)), SCALE)  # delta = D + g
     P = wp.P
     n_lo, n_hi = wp.lambda_window
     if n_hi > table.limit:
@@ -656,27 +643,23 @@ def window_counts(wp: WindowParams, cfg: ApproxConfig, table: ArithTable,
     if n_lo > n_hi:
         return WindowCounts(0.0, 0, 0, 0)
 
-    def factor_product(n: int) -> int:
-        prod = 1
-        for cr in craws:
-            y = cr * n
-            f = _ceil_raw(y + delta_int) - _ceil_raw(y)
-            if f == 0:
-                return 0
-            prod *= f
-        return prod
-
     lam = table.von_mangoldt_range(n_lo, n_hi)
-    terms = []
-    s_count = 0
-    for idx in np.nonzero(lam)[0]:
-        n = int(idx) + n_lo
-        prod = factor_product(n)
-        if prod:
-            terms.append(prod * float(lam[idx]))
-            if table.prime_flags[n]:
-                s_count += prod
-    weighted = math.fsum(terms)
+    ns = np.nonzero(lam)[0] + n_lo
+    # a factor is at most D + 1: int64 holds the sums unless delta is huge
+    dtype = np.int64 if ns.size * (D + 1) ** cfg.d < 1 << 63 else object
+    prod = np.ones(ns.size, dtype=dtype)
+    for ci in cfg.c.entries:
+        # for f = frac(c n): ceil(c n + delta) - ceil(c n)
+        # = D + [f + g > 0] + [f + g > 1] - [f > 0], which is D when g = 0
+        if not g:
+            prod *= D
+            continue
+        f = limb_product(ci.raw, ns, 4)
+        # f + g > 1 iff 2**128 - g < f, in units of 2**-128
+        over = limbs_less(limb_product(SCALE - g, np.ones(1, np.int64), 4), f)
+        prod *= (D + 1) + (over.astype(np.int64) - np.any(f, axis=0)).astype(dtype)
+    weighted = math.fsum((prod.astype(np.float64) * lam[ns - n_lo]).tolist())
+    s_count = int(prod[table.prime_flags[ns]].sum())
 
     r_count = int(table.primes_between(P, r_hi).size) if r_hi >= P else 0
     return WindowCounts(weighted=weighted, prime_count=s_count,
@@ -700,18 +683,20 @@ def product_set(alpha: FixedReal, cfg: ApproxConfig, N: int,
     mu_val = float(N) ** cfg.exponent if mu is None else mu
     if not mu_val > 0:
         raise ContractError("mu must be positive")
+    if N >= LIMB_MULTIPLIER_BOUND:
+        raise ResourceCapError(f"N={N} exceeds the limb scan bound 2**32")
+    a = alpha.raw
+    # alpha at 128 fraction bits, then each slope c_i alpha at 256
+    tests = [(a, 4)] + [(ci.raw * a, 8) for ci in cfg.c.entries]
+    thr = fixed_limbs(np.array([mu_val])) if mu_val < 1.0 else None
     out = []
-    thr = _dyadic_scaled(min(mu_val, 1.0), FRAC_BITS)  # 1 already admits all
-    thr256 = thr << FRAC_BITS
-    slopes = [ci.raw * alpha.raw for ci in cfg.c.entries]
-    mask256 = (1 << 256) - 1
-    for n in range(1, N + 1):
-        prod0 = n * alpha.raw
-        if (prod0 & FRAC_MASK) >= thr:
-            continue
-        if any((n * s & mask256) >= thr256 for s in slopes):
-            continue
-        out.append((n, n * (prod0 >> FRAC_BITS)))
+    for start in range(1, N + 1, SCAN_CHUNK):
+        n = np.arange(start, min(start + SCAN_CHUNK, N + 1), dtype=np.int64)
+        if thr is not None:  # mu >= 1 admits every n
+            for t, count in tests:
+                # frac < mu reads the top four limbs of the fraction
+                n = n[limbs_less(limb_product(t, n, count)[-4:], thr)]
+        out.extend((m, m * ((m * a) >> FRAC_BITS)) for m in n.tolist())
     return out
 
 

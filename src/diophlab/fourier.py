@@ -108,36 +108,49 @@ def fejer_tau(degree: int, x: np.ndarray) -> np.ndarray:
 # Exact phase reduction (vectorized 32-bit limb arithmetic)
 # ----------------------------------------------------------------------
 
-def _mul_mod_scale(t: int, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(n * t) mod 2**128 for 0 <= t < 2**128 and 0 <= n < 2**32.
+#: Multipliers of ``limb_product`` lie in [0, LIMB_MULTIPLIER_BOUND).
+LIMB_MULTIPLIER_BOUND = 1 << 32
 
-    Returns (hi, lo) uint64 halves.  All intermediate products fit in
-    uint64 exactly, so the reduction is exact.
+
+def limb_product(t: int, n: np.ndarray, count: int) -> list[np.ndarray]:
+    """The low ``count`` 32-bit limbs of n * t, least significant first, as
+    uint64 arrays, for an integer t >= 0 and 0 <= n < 2**32.
+
+    Each partial product n * limb plus its carry is below 2**64, so every
+    limb is exact; the limbs above ``count`` drop.
     """
+    if n.size and not 0 <= int(n.min()) <= int(n.max()) < LIMB_MULTIPLIER_BOUND:
+        raise ResourceCapError("limb products need multipliers in [0, 2**32)")
     n64 = n.astype(np.uint64)
-    limbs = [(t >> (32 * i)) & 0xFFFFFFFF for i in range(4)]
-    p0 = n64 * np.uint64(limbs[0])
-    p1 = n64 * np.uint64(limbs[1])
-    p2 = n64 * np.uint64(limbs[2])
-    p3 = n64 * np.uint64(limbs[3])
-    r0 = p0 & _MASK32
-    s1 = (p0 >> _SHIFT32) + (p1 & _MASK32)
-    r1 = s1 & _MASK32
-    s2 = (p1 >> _SHIFT32) + (p2 & _MASK32) + (s1 >> _SHIFT32)
-    r2 = s2 & _MASK32
-    s3 = (p2 >> _SHIFT32) + (p3 & _MASK32) + (s2 >> _SHIFT32)
-    r3 = s3 & _MASK32  # carry out of the top limb drops: reduction mod 2**128
-    return (r3 << _SHIFT32) | r2, (r1 << _SHIFT32) | r0
+    limbs = []
+    carry = np.uint64(0)
+    for i in range(count):
+        s = n64 * np.uint64((t >> (32 * i)) & 0xFFFFFFFF) + carry
+        limbs.append(s & _MASK32)
+        carry = s >> _SHIFT32
+    return limbs
 
 
-def _add_mod_scale(a, b):
-    """(a + b) mod 2**128 on (hi, lo) uint64 pairs."""
-    ahi, alo = a
-    bhi, blo = b
-    lo = alo + blo
-    carry = (lo < alo).astype(np.uint64)
-    hi = ahi + bhi + carry
-    return hi, lo
+def limbs_less(a, b):
+    """Elementwise a < b for two numbers given as limb lists of one length,
+    least significant first; a limb may be an array or a scalar."""
+    less = np.False_
+    for ai, bi in zip(a, b):
+        less = (ai < bi) | ((ai == bi) & less)
+    return less
+
+
+def fixed_limbs(x: np.ndarray) -> list[np.ndarray]:
+    """The four 32-bit limbs of floor(x * 2**128), least significant first,
+    for a float64 array x in [0, 1).
+
+    floor(ldexp(x, 32 k)) is exact, and each limb is the difference of two
+    neighbouring floors, exact by Sterbenz's lemma.
+    """
+    floors = [np.floor(np.ldexp(np.asarray(x, dtype=np.float64), 32 * k))
+              for k in range(5)]
+    return [(floors[k] - np.ldexp(floors[k - 1], 32)).astype(np.uint64)
+            for k in range(4, 0, -1)]
 
 
 def frac_raw_parts(theta: FixedReal, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,22 +164,22 @@ def frac_raw_parts(theta: FixedReal, n: np.ndarray) -> tuple[np.ndarray, np.ndar
     if n.size and int(np.abs(n).max()) >= (1 << 63):
         raise ResourceCapError("multipliers beyond 2**63 void exactness")
     mag = np.abs(n).astype(np.uint64)
-    lo32 = mag & _MASK32
+    limbs = limb_product(t, mag & _MASK32, 4)
     hi32 = mag >> _SHIFT32
-    res = _mul_mod_scale(t, lo32)
     if bool((hi32 != 0).any()):
-        t_shift = (t << 32) & FRAC_MASK
-        res = _add_mod_scale(res, _mul_mod_scale(t_shift, hi32))
-    hi, lo = res
+        # add hi32 * t * 2**32 mod 2**128: the low three limbs of hi32 * t
+        carry = np.uint64(0)
+        for i, u in enumerate(limb_product(t, hi32, 3), start=1):
+            s = limbs[i] + u + carry
+            limbs[i] = s & _MASK32
+            carry = s >> _SHIFT32
+    hi = (limbs[3] << _SHIFT32) | limbs[2]
+    lo = (limbs[1] << _SHIFT32) | limbs[0]
     neg = n < 0
     if bool(neg.any()):
-        # 2**128 - r (mod 2**128), with r == 0 left in place
-        nz = neg & ((hi != 0) | (lo != 0))
-        flo = (np.uint64(0) - lo)[nz]
-        borrow = (lo[nz] != 0).astype(np.uint64)
-        fhi = np.uint64(0) - hi[nz] - borrow
-        lo[nz] = flo
-        hi[nz] = fhi
+        # -r mod 2**128 on the wrapping uint64 halves; r == 0 stays 0
+        hi = np.where(neg, np.uint64(0) - hi - (lo != 0), hi)
+        lo = np.where(neg, np.uint64(0) - lo, lo)
     return hi, lo
 
 

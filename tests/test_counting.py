@@ -268,6 +268,28 @@ class TestCountWitnesses:
             assert got == want
             assert [(t.p, t.r, t.q) for t in tuples] == wit
 
+    # alpha = 1 makes frac(p alpha) = 0, 1.25 and 0.75 are dyadic, a slope
+    # of 4 makes frac(p c alpha) = 0 at alpha = 1.25, and a slope of 2**-20
+    # keeps q = floor(p c alpha) at 0 for every p <= 2000
+    @pytest.mark.parametrize("alpha,slopes", [
+        (1.0, ("sqrt2",)),
+        (1.25, ("phi",)),
+        (1.25, (4.0,)),
+        ("sqrt3", (2.0**-20,)),
+        ("sqrt3", ("sqrt2", 2.0**-20)),
+        (0.75, ("sqrt2", 1.5)),
+    ])
+    def test_edge_cases_match_naive_oracle(self, alpha, slopes, table_small):
+        d = len(slopes)
+        k = d + 0.5
+        cfg = ApproxConfig(c=CVector(tuple(map(_slope, slopes)), k),
+                           epsilon=0.3 / (d * (3 * k + 2)), A=0.5, B=2.5)
+        n_max = random.Random(repr((alpha, slopes))).randint(600, 1200)
+        got, tuples = count_witnesses(_slope(alpha), cfg, n_max, table_small)
+        want, wit = naive_count(_slope(alpha), cfg, n_max)
+        assert got == want
+        assert [(t.p, t.r, t.q) for t in tuples] == wit
+
     def test_table_checked_before_scan(self, golden_cfg, monkeypatch):
         from diophlab.arith import ArithTable, build_arith_table
 
@@ -545,6 +567,31 @@ class TestWindowCounts:
             assert wc.primes_in_window == 71
             assert wc.solutions == 781
 
+    # c = 3/2 puts frac(c n) at 0 (n = 1024) and 1/2 (odd n); delta = 1.0
+    # and 2.0 have no fraction, 0.5 and 1.5 end exactly on an integer for
+    # odd n, and 2**62 needs counts beyond int64
+    @pytest.mark.parametrize("slopes", [(1.5,), (1.5, 0.75)])
+    @pytest.mark.parametrize("delta", [1.0, 2.0, 0.5, 1.5, 2.0**62])
+    def test_matches_fraction_oracle(self, slopes, delta, table_small):
+        cfg = ApproxConfig(c=CVector(tuple(map(_slope, slopes)), 2.0),
+                           epsilon=0.05, A=1.0, B=2.0)
+        wp = WindowParams.from_config(cfg, 600)  # n in [900, 1200]
+        n_lo, n_hi = wp.lambda_window
+        cs = [ci.to_fraction() for ci in cfg.c.entries]
+        terms, prime_count = [], 0
+        for n in range(n_lo, n_hi + 1):
+            lam = table_small.von_mangoldt(n)
+            if not lam:
+                continue
+            prod = math.prod(math.ceil(c * n + Fraction(delta))
+                             - math.ceil(c * n) for c in cs)
+            terms.append(prod * lam)
+            if table_small.is_prime(n):
+                prime_count += prod
+        wc = window_counts(wp, cfg, table_small, delta=delta)
+        assert wc.prime_count == prime_count
+        assert wc.weighted == pytest.approx(math.fsum(terms), rel=1e-12)
+
     def test_solution_product(self, golden_cfg, table_small):
         wp = WindowParams.from_config(golden_cfg, 5000)
         wc = window_counts(wp, golden_cfg, table_small)
@@ -567,6 +614,12 @@ class TestProductSet:
     def test_rejects_non_positive_mu(self, golden_cfg, mu):
         with pytest.raises(ContractError):
             product_set(constant("sqrt3"), golden_cfg, 50, mu=mu)
+
+    def test_rejects_n_beyond_limb_bound(self, golden_cfg):
+        # the limb kernel takes multipliers below 2**32; the call fails
+        # before any scan
+        with pytest.raises(ResourceCapError):
+            product_set(constant("sqrt3"), golden_cfg, 2**32)
 
     def test_infinite_mu_admits_all(self, golden_cfg):
         out = product_set(constant("sqrt3"), golden_cfg, 50, mu=math.inf)

@@ -16,8 +16,11 @@ from diophlab.fourier import (
     dyadic_weighted_min_sum,
     exp_sum,
     fejer_tau,
+    fixed_limbs,
     frac_multiples,
     frac_raw_parts,
+    limb_product,
+    limbs_less,
     min_sum_with_bound,
     sawtooth,
     sawtooth_array,
@@ -266,3 +269,60 @@ class TestFracRawParts:
         hi_a, lo_a = frac_raw_parts(FixedReal(t * l), ms)
         hi_b, lo_b = frac_raw_parts(FixedReal(t), l * ms)
         assert np.array_equal(hi_a, hi_b) and np.array_equal(lo_a, lo_b)
+
+
+def _limbs_value(limbs) -> list[int]:
+    """The Python ints a list of 32-bit limb arrays stands for."""
+    return [sum(int(v) << (32 * i) for i, v in enumerate(col))
+            for col in zip(*(limb.tolist() for limb in limbs))]
+
+
+class TestLimbKernel:
+    # the kernel against Python ints, limb by limb
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(t=st.integers(0, 2**300),
+           ns=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8),
+           count=st.integers(1, 11))
+    def test_product_matches_python(self, t, ns, count):
+        limbs = limb_product(t, np.array(ns, dtype=np.int64), count)
+        assert all(limb.dtype == np.uint64 for limb in limbs)
+        for i, limb in enumerate(limbs):
+            assert limb.tolist() == [(n * t) >> (32 * i) & 0xFFFFFFFF
+                                     for n in ns]
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(0, 2**128 - 1),
+                                    st.integers(0, 2**128 - 1)),
+                          min_size=1, max_size=8),
+           shared_high=st.booleans())
+    def test_less_matches_python(self, pairs, shared_high):
+        if shared_high:  # equal high limbs send the decision down
+            pairs = [(a, (a >> 40 << 40) | (b & (2**40 - 1))) for a, b in pairs]
+        pairs += [(a, a) for a, _ in pairs]
+        one = np.ones(1, dtype=np.int64)
+        a = [limb_product(x, one, 4) for x, _ in pairs]
+        b = [limb_product(y, one, 4) for _, y in pairs]
+        for (x, y), la, lb in zip(pairs, a, b):
+            assert bool(limbs_less(la, lb)[0]) == (x < y)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(xs=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1,
+                       max_size=8))
+    def test_float_conversion_is_exact(self, xs):
+        xs += [0.0, 5e-324, 2.0**-1030, 2.0**-129, 1.0 - 2.0**-53]
+        got = _limbs_value(fixed_limbs(np.array(xs)))
+        assert got == [int(math.ldexp(x, 128)) for x in xs]
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(t=st.integers(-(2**200), 2**200),
+           ns=st.lists(st.integers(-(2**63) + 1, 2**63 - 1), min_size=1,
+                       max_size=8))
+    def test_frac_raw_parts_exact(self, t, ns):
+        hi, lo = frac_raw_parts(FixedReal(t), np.array(ns, dtype=np.int64))
+        assert [(h << 64) | l for h, l in zip(hi.tolist(), lo.tolist())] \
+            == [n * t % SCALE for n in ns]
+
+    @pytest.mark.parametrize("ns", [[2**32], [-1], [0, 1, 2**40]])
+    def test_rejects_multipliers_outside_32_bits(self, ns):
+        with pytest.raises(ResourceCapError):
+            limb_product(3, np.array(ns, dtype=np.int64), 4)
