@@ -766,30 +766,30 @@ def _sieve_error_majorant(alpha: FixedReal, sp: SieveSideParams,
 def sieve_side_error_raw(alpha: FixedReal, sp: SieveSideParams,
                          cfg: ApproxConfig,
                          cap: int = DEFAULT_SIEVE_CAP) -> float:
-    """Error term via the raw exponential sums (exact phases), for cross-checks.
+    """Error term via the raw sums S = sum_{n <= K} e(n theta), K = N // t1,
+    for cross-checks; always bounded by the min-form majorant.
 
-    |S(-m)| = |S(m)|, so the sums run over the half box and are doubled.
-    Always bounded by the min-form majorant.
+    Closed form: |S| = |sin(pi K theta)| / |sin(pi theta)|, and K at integer
+    theta.  theta = w / M exactly, M = t2 * 2**256 and w = alpha_raw * t1 *
+    (m_0 * 2**128 + t2 * sum m_i c_i_raw); w and K*w are reduced mod M and
+    their distances to the nearest multiple of M taken in integers, so only
+    those distances over M and the sines run in binary64.  |S(-m)| = |S(m)|,
+    so the sum runs over the majorant's half box and cap, doubled.
     """
     t1, t2 = sp.t1, sp.t2
-    n_max = sp.N // t1
-    box = _half_box_grid(int(math.floor(sp.L)), cfg.d + 1,
-                         cap // max(n_max, 1) + 1)
-    craws = [ci.raw for ci in cfg.c.entries]
+    K = sp.N // t1
+    box = _half_box_grid(int(math.floor(sp.L)), cfg.d + 1, cap)
     modulus = t2 << 256
+    a = alpha.raw * t1
+    coeffs = [a << FRAC_BITS] + [a * t2 * ci.raw for ci in cfg.c.entries]
+
+    def sine(v):  # sin(pi ||v / modulus||), the distance taken in integers
+        return math.sin(math.pi * (min(v, modulus - v) / modulus))
+
     total = 0.0
-    for m0, *ms in box.tolist():
-        # theta * (t2 * 2**256) = a_raw * t1 * (m0*2**128 + t2*sum m_i craw_i)
-        inner = (int(m0) << FRAC_BITS) + t2 * sum(
-            int(mi) * cr for mi, cr in zip(ms, craws)
-        )
-        w = alpha.raw * t1 * inner
-        acc = 0j
-        for n in range(1, n_max + 1):
-            ph = (n * w) % modulus
-            acc += complex(math.cos(2 * math.pi * ph / modulus),
-                           math.sin(2 * math.pi * ph / modulus))
-        total += abs(acc)
+    for row in box.tolist():
+        w = sum(int(mi) * ci for mi, ci in zip(row, coeffs)) % modulus
+        total += sine(K * w % modulus) / sine(w) if w else K
     return float(sp.mu_target ** (cfg.d + 1) / t2 * 2.0 * total)
 
 

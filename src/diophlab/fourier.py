@@ -121,7 +121,11 @@ def limb_product(t: int, n: np.ndarray, count: int) -> list[np.ndarray]:
     """
     if n.size and not 0 <= int(n.min()) <= int(n.max()) < LIMB_MULTIPLIER_BOUND:
         raise ResourceCapError("limb products need multipliers in [0, 2**32)")
-    n64 = n.astype(np.uint64)
+    return _limbs(t, n.astype(np.uint64), count)
+
+
+def _limbs(t: int, n64: np.ndarray, count: int) -> list[np.ndarray]:
+    """``limb_product`` without its check, for uint64 n known below 2**32."""
     limbs = []
     carry = np.uint64(0)
     for i in range(count):
@@ -156,20 +160,25 @@ def fixed_limbs(x: np.ndarray) -> list[np.ndarray]:
 def frac_raw_parts(theta: FixedReal, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact frac(n * theta) as (hi, lo) uint64 halves of the 128-bit raw.
 
-    Handles signed multipliers up to 2**63 in magnitude by splitting into
-    32-bit pieces; the reduction itself stays exact.
+    Integer n of any dtype with |n| < 2**63, split into 32-bit pieces; the
+    checks read the input's own dtype before any cast: non-integers raise
+    ``ContractError``, |n| >= 2**63 ``ResourceCapError``.
     """
     t = theta.raw & FRAC_MASK
-    n = np.asarray(n, dtype=np.int64)
-    if n.size and int(np.abs(n).max()) >= (1 << 63):
+    n = np.asarray(n)
+    # object arrays hold the Python ints that fit no 64-bit dtype
+    if not (n.dtype.kind in "iu" or all(isinstance(v, int) for v in n.flat)):
+        raise ContractError(f"multipliers must be integers, not {n.dtype}")
+    if n.size and (int(n.min()) <= -(1 << 63) or int(n.max()) >= 1 << 63):
         raise ResourceCapError("multipliers beyond 2**63 void exactness")
+    n = n.astype(np.int64)  # exact, as every |n| < 2**63
     mag = np.abs(n).astype(np.uint64)
-    limbs = limb_product(t, mag & _MASK32, 4)
+    limbs = _limbs(t, mag & _MASK32, 4)
     hi32 = mag >> _SHIFT32
     if bool((hi32 != 0).any()):
         # add hi32 * t * 2**32 mod 2**128: the low three limbs of hi32 * t
         carry = np.uint64(0)
-        for i, u in enumerate(limb_product(t, hi32, 3), start=1):
+        for i, u in enumerate(_limbs(t, hi32, 3), start=1):
             s = limbs[i] + u + carry
             limbs[i] = s & _MASK32
             carry = s >> _SHIFT32
@@ -214,6 +223,14 @@ def _min_terms(cap, dists: np.ndarray) -> np.ndarray:
         return np.minimum(cap, 1.0 / dists)
 
 
+def min_sum(theta: FixedReal, x: float, m_max: int) -> float:
+    """sum_{1<=m<=m_max} min(x/m, dist(m*theta)^-1), dist 0 giving x/m,
+    with the phases m*theta reduced exactly before the binary64 step."""
+    ms = np.arange(1, m_max + 1, dtype=np.int64)
+    dists = dist_multiples(theta, ms)
+    return float(np.sum(_min_terms(x / ms.astype(np.float64), dists)))
+
+
 def min_sum_with_bound(L: int, x: float, c: FixedReal,
                        approx: tuple[int, int]) -> tuple[float, float]:
     """Left side sum_{l<=L} min(x/l, dist(l*c)^-1) and its denominator bound.
@@ -228,9 +245,7 @@ def min_sum_with_bound(L: int, x: float, c: FixedReal,
         raise ContractError("|c - a/q| <= q**-2 does not hold")
     if L < 1 or x <= 1.0:
         raise ContractError("need L >= 1 and x > 1")
-    ls = np.arange(1, L + 1, dtype=np.int64)
-    dists = dist_multiples(c, ls)
-    lhs = float(np.sum(_min_terms(x / ls.astype(np.float64), dists)))
+    lhs = min_sum(c, x, L)
     rhs = (x / q + L + q) * math.log(2.0 * L * q * x)
     return lhs, rhs
 
@@ -247,19 +262,12 @@ def box_min_sum(h: tuple[int, ...], m_max: int, x: float, c: CVector,
         raise ContractError("box shape must match slope dimension")
     if any(hi < 0 for hi in h):
         raise ContractError("box bounds must be nonnegative")
-    n_terms = m_max
-    for hi in h:
-        n_terms *= 2 * hi + 1
+    n_terms = m_max * math.prod(2 * hi + 1 for hi in h)
     if n_terms > cap:
         raise ResourceCapError(f"{n_terms} terms exceed cap {cap}")
-    if all(hi == 0 for hi in h):
-        return 0.0
-    ms = np.arange(1, m_max + 1, dtype=np.int64)
-    x_over_m = x / ms.astype(np.float64)
     total = 0.0
     for v in half_box([range(-hi, hi + 1) for hi in h]):
-        dists = dist_multiples(inner_product(v, c), ms)
-        total += float(np.sum(_min_terms(x_over_m, dists)))
+        total += min_sum(inner_product(v, c), x, m_max)
     return 2.0 * total
 
 
@@ -287,14 +295,10 @@ def dyadic_weighted_min_sum(m_max: int, x: float, degree: int, c: CVector,
     n_terms = m_max * (2 * degree) ** d
     if n_terms > cap:
         raise ResourceCapError(f"{n_terms} terms exceed cap {cap}")
-    ms = np.arange(1, m_max + 1, dtype=np.int64)
-    x_over_m = x / ms.astype(np.float64)
     exact = 0.0
     for weight, theta in weighted_index_box(degree, c):
-        dists = dist_multiples(theta, ms)
-        exact += 2.0 * weight * float(np.sum(_min_terms(x_over_m, dists)))
-    k = c.k
+        exact += 2.0 * weight * min_sum(theta, x, m_max)
     bound = math.log(2.0 * x) ** (d + 1) * (
-        m_max + (x * degree) ** (1.0 - 1.0 / (k + 1.0))
+        m_max + (x * degree) ** (1.0 - 1.0 / (c.k + 1.0))
     )
     return exact, bound

@@ -33,9 +33,9 @@ from .parallel import map_ordered
 from .fourier import (
     VaalerPolynomial,
     _min_terms,
-    dist_multiples,
     fejer_tau,
     frac_multiples,
+    min_sum,
     weighted_index_box,
 )
 from .vaughan import b_array
@@ -267,18 +267,13 @@ def bound_audit(P: int, cfg: ApproxConfig, table: ArithTable,
 
     # ---- V_A exact and V_d tilde ---------------------------------------
     all_n = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    v_a = 0.0
+    v_a = v_tilde = 0.0
     for ci in cfg.c.entries:
         fr = frac_multiples(ci, all_n)
         v_a += float(np.sum(fejer_tau(J, (-(fr + delta)) % 1.0)
                             + fejer_tau(J, (-fr) % 1.0)))
+        v_tilde += min_sum(ci, P, J)
     v_a *= log2p
-
-    v_tilde = 0.0
-    js = np.arange(1, J + 1, dtype=np.int64)
-    for ci in cfg.c.entries:
-        dists = dist_multiples(ci, js)
-        v_tilde += float(np.sum(_min_terms(P / js.astype(np.float64), dists)))
 
     # ---- the multipliers l*m of U_tilde, Z2 and Z1, built once ----------
     # Layout: ns (U_tilde, l = 1), then l*sub per Z2 term, then l*m per Z1

@@ -1,8 +1,15 @@
 import pytest
+from hypothesis import settings
 
 from diophlab.arith import build_arith_table
 from diophlab.counting import ApproxConfig
 from diophlab.fixedreal import CVector, constant
+
+# Every property test is deterministic: fixed example streams, no example
+# database, no per-example deadline.  Tests set only max_examples.
+settings.register_profile("tier1", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

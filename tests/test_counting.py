@@ -194,6 +194,15 @@ def dyadic_windows(draw):
     return 1.0 + lo / 2**j, 1.0 + hi / 2**j
 
 
+NAMED_SLOPES = st.sampled_from(("phi", "sqrt2", "sqrt3"))
+
+
+def dyadic_slopes():
+    """Random dyadic slopes m / 2**e in [2**-8, 255]."""
+    return st.builds(lambda m, e: m / 2**e, st.integers(1, 255),
+                     st.integers(0, 8))
+
+
 def naive_count(alpha, cfg, n_max):
     """Quadruple-loop oracle in exact rational arithmetic, fully independent
     of the table and of the floor shortcut."""
@@ -364,7 +373,7 @@ class TestWitnessIntegral:
                               method="fast")
         assert fa == pytest.approx(float(ex), rel=1e-9)
 
-    @settings(max_examples=60, derandomize=True, deadline=None)
+    @settings(max_examples=60)
     @given(slope=st.sampled_from(D1_SLOPES), window=dyadic_windows(),
            N=st.integers(2, 2**14),
            eps=st.floats(1e-3, 0.2, exclude_max=True))
@@ -422,7 +431,35 @@ class TestWitnessIntegral:
                               method="fast")
         assert fa == pytest.approx(float(ex), rel=1e-9)
 
-    @settings(max_examples=40, derandomize=True, deadline=None)
+    @settings(max_examples=40)
+    @given(slopes=st.integers(1, 2).flatmap(
+               lambda d: st.lists(st.one_of(NAMED_SLOPES, dyadic_slopes()),
+                                  min_size=d, max_size=d)),
+           k_extra=st.floats(0.0, 2.0), window=dyadic_windows(),
+           N=st.integers(2, 2**10),
+           eps_share=st.floats(1e-3, 1.0, exclude_max=True))
+    def test_exact_additive_and_fast_close(self, table_small, slopes, k_extra,
+                                           window, N, eps_share):
+        d = len(slopes)
+        c = CVector(tuple(_slope(s) for s in slopes), d + k_extra)
+        gamma = 1.0 / (d * (3.0 * c.k + 2.0))
+        cfg = ApproxConfig(c=c, epsilon=eps_share * gamma, A=1.0, B=2.0)
+        a, b = window
+        mid = (a + b) / 2
+
+        def exact(lo, hi):
+            return witness_integral(lo, hi, cfg, N, table_small,
+                                    method="exact")
+
+        whole = exact(a, b)
+        assert exact(a, mid) + exact(mid, b) == whole  # as Fractions
+        fast = witness_integral(a, b, cfg, N, table_small, method="fast")
+        if whole == 0:
+            assert fast == 0.0
+        else:
+            assert fast == pytest.approx(float(whole), rel=1e-9, abs=0.0)
+
+    @settings(max_examples=40)
     @given(slopes=st.integers(2, 3).flatmap(
                lambda d: st.lists(st.sampled_from(GENERAL_SLOPES),
                                   min_size=d, max_size=d)),
@@ -736,6 +773,49 @@ class TestSieveSide:
         res = sieve_side_counts(alpha, sp, golden_cfg, table_small)
         assert raw <= res.e_bound * (1 + 1e-9)
 
+    @settings(max_examples=40)
+    @given(d=st.integers(1, 2), data=st.data(),
+           kind=st.sampled_from(("named", "dyadic", "one", "half")),
+           N=st.integers(1, 2000),
+           pair=st.sampled_from(((1, 1), (1, 2), (2, 1))))
+    def test_raw_closed_form_matches_reference(self, d, data, kind, N, pair):
+        # "one": c = alpha = 1, every theta an integer and |S| = K;
+        # "half": c = 1/2, alpha = 1, half-integer thetas
+        if kind == "named":
+            slopes = [constant(data.draw(NAMED_SLOPES)) for _ in range(d)]
+        elif kind == "dyadic":
+            slopes = [FixedReal.from_float(data.draw(dyadic_slopes()))
+                      for _ in range(d)]
+        else:
+            slopes = [FixedReal.from_float(1.0 if kind == "one" else 0.5)] * d
+        alpha = (FixedReal(data.draw(st.integers(1 << 128, (1 << 129) - 1)))
+                 if kind in ("named", "dyadic") else FixedReal(1 << 128))
+        cfg = ApproxConfig(c=CVector(tuple(slopes), float(d)),
+                           epsilon=0.1 / d**2, A=1.0, B=2.0)
+        # the reference costs box * N/t1 Python steps
+        L = data.draw(st.integers(1, 3 if d == 1 else 1))
+        sp = SieveSideParams(N=N, mu_target=float(N) ** cfg.exponent, Q=2.0,
+                             L=float(L), t1=pair[0], t2=pair[1])
+        assert sieve_side_error_raw(alpha, sp, cfg) == pytest.approx(
+            reference_error_raw(alpha, sp, cfg), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("cfg_name, alpha_name", [
+        ("golden_cfg", "sqrt3"), ("golden_cfg", "sqrt2"),
+        ("two_dim_cfg", "phi")])
+    def test_raw_below_majorant_at_benchmark_scale(self, cfg_name, alpha_name,
+                                                   request, table_small):
+        cfg = request.getfixturevalue(cfg_name)
+        alpha = constant(alpha_name)
+        N = 2**18
+        qq = float(N) ** cfg.epsilon
+        pairs = list(congruence_pairs(qq))
+        assert len(pairs) == (5 if cfg.d == 1 else 1)
+        for t1, t2 in pairs:
+            sp = SieveSideParams.from_config(cfg, N, t1, t2, Q=qq)
+            raw = sieve_side_error_raw(alpha, sp, cfg)
+            res = sieve_side_counts(alpha, sp, cfg, table_small)
+            assert 0.0 < raw <= res.e_bound * (1 + 1e-9), (t1, t2)
+
     def test_error_sum_trivialities(self, golden_cfg, table_small):
         alpha = constant("sqrt3")
         assert sieve_error_sum(alpha, golden_cfg, 100, table_small, Q=0.5) == 0.0
@@ -775,7 +855,7 @@ class TestSieveSide:
                     res = sieve_side_counts(alpha, sp, cfg, table_small)
                     assert res.e_bound == pytest.approx(
                         reference_majorant(alpha, sp, cfg), rel=1e-12, abs=0.0)
-                    # the raw sums cost box * N/t1 Python steps
+                    # the reference costs box * N/t1 Python steps
                     l_int = int(math.floor(sp.L))
                     if (2 * l_int + 1) ** (cfg.d + 1) * (N // t1) <= 200_000:
                         assert sieve_side_error_raw(alpha, sp, cfg) \

@@ -219,14 +219,14 @@ SPANS = st.one_of(
 
 
 class TestHalfBox:
-    @settings(max_examples=150, derandomize=True, deadline=None)
+    @settings(max_examples=150)
     @given(spans=st.lists(SPANS, min_size=1, max_size=3))
     def test_filtered_product_in_order(self, spans):
         want = [v for v in itertools.product(*spans)
                 if _first_nonzero_positive(v)]
         assert list(half_box(spans)) == want
 
-    @settings(max_examples=60, derandomize=True, deadline=None)
+    @settings(max_examples=60)
     @given(h=st.lists(st.integers(0, 3), min_size=1, max_size=3))
     def test_symmetric_box_one_of_each_pair(self, h):
         spans = [range(-hi, hi + 1) for hi in h]
