@@ -28,7 +28,7 @@ import numpy as np
 
 from .arith import ArithTable
 from .errors import ContractError, RangeError, ResourceCapError
-from .fixedreal import FRAC_BITS, FRAC_MASK, SCALE, CVector, FixedReal
+from .fixedreal import FRAC_BITS, FRAC_MASK, SCALE, CVector, FixedReal, half_box
 from .fourier import (LIMB_MULTIPLIER_BOUND, _min_terms, fixed_limbs,
                       frac_multiples, limb_product, limbs_less)
 
@@ -84,6 +84,17 @@ class ApproxConfig:
         """eps - gamma, the (negative) exponent of the slack threshold."""
         return self.epsilon - self.gamma
 
+    def slack_threshold(self, x):
+        """x**(eps - gamma) by Python's binary64 ``pow``, for x > 0: at p for
+        the witnesses, at mu*P for a window's eta, at N for the sieve's mu.
+        numpy's ``**`` differs on some x, so arrays are mapped elementwise."""
+        values = np.asarray(x, dtype=np.float64)
+        if not np.all(values > 0.0):
+            raise ContractError("the slack threshold needs x > 0")
+        exponent = self.exponent
+        thr = [v ** exponent for v in values.ravel().tolist()]
+        return np.array(thr) if values.ndim else thr[0]
+
 
 @dataclass(frozen=True)
 class SolutionTuple:
@@ -121,7 +132,7 @@ class WindowParams:
     def from_config(cls, cfg: ApproxConfig, P: int) -> "WindowParams":
         a, b = cfg.A, cfg.B
         mu = (a + b) / (2.0 * a)
-        eta = (mu * P) ** cfg.exponent
+        eta = cfg.slack_threshold(mu * P)
         delta = min(cfg.c.floats()) * eta / 2.0
         nu = eta / (mu * P) * min(0.5, *(1.0 / ci for ci in cfg.c.floats()))
         return cls(P=P, a=a, b=b, mu_window=mu, eta=eta, delta=delta, nu=nu)
@@ -169,7 +180,7 @@ class SieveSideParams:
     @classmethod
     def from_config(cls, cfg: ApproxConfig, N: int, t1: int = 1, t2: int = 1,
                     Q: float | None = None) -> "SieveSideParams":
-        mu = float(N) ** cfg.exponent
+        mu = cfg.slack_threshold(N)
         qq = float(N) ** cfg.epsilon if Q is None else Q
         return cls(N=N, mu_target=mu, Q=qq, L=qq**3 / mu, t1=t1, t2=t2)
 
@@ -194,7 +205,7 @@ def count_witnesses(alpha: FixedReal, cfg: ApproxConfig, N: int,
     floors of the respective products, so no inner search is needed.  The
     limb kernel of ``fourier`` tests SCAN_CHUNK primes at a time: r prime
     first, then frac(p alpha) and each frac(p c_i alpha) against thr_p =
-    Python's float(p) ** (eps - gamma) (numpy's ``**`` differs on some p).
+    ``cfg.slack_threshold(p)``, taken on the primes that pass the r test.
     Python ints are built only for the survivors, and only when ``collect``.
     """
     if alpha.raw <= 0:
@@ -209,7 +220,6 @@ def count_witnesses(alpha: FixedReal, cfg: ApproxConfig, N: int,
             f"r up to floor(alpha*N)={r_max} exceeds table limit {table.limit}; "
             f"build the table up to ceil(alpha*N)+1"
         )
-    exponent = cfg.exponent
     slopes = [ci.raw * alpha.raw for ci in cfg.c.entries]  # 256 frac bits
     found: list[int] = []
     primes = table.primes_between(2, N)
@@ -220,7 +230,7 @@ def count_witnesses(alpha: FixedReal, cfg: ApproxConfig, N: int,
         keep = np.any(prod[:4], axis=0) & (r >= 2)
         keep[keep] = table.prime_flags[r[keep]]
         p, frac = p[keep], [x[keep] for x in prod[:4]]
-        thr = fixed_limbs(np.array([float(x) ** exponent for x in p.tolist()]))
+        thr = fixed_limbs(cfg.slack_threshold(p))
         keep = limbs_less(frac, thr)
         for s in slopes:
             p, thr = p[keep], [t[keep] for t in thr]
@@ -245,7 +255,7 @@ def revalidate_tuple(tup: SolutionTuple, alpha: FixedReal,
                      cfg: ApproxConfig) -> bool:
     """Recheck a witness from scratch in exact rational arithmetic."""
     al = alpha.to_fraction()
-    thr = Fraction(float(tup.p) ** cfg.exponent)
+    thr = Fraction(cfg.slack_threshold(tup.p))
     s0 = tup.p * al - tup.r
     if not (0 < s0 < thr):
         return False
@@ -271,35 +281,39 @@ def _scaled_endpoint(x, D: int) -> int:
     return num // fr.denominator
 
 
-def _check_table_covers(b, N: int, table: ArithTable) -> None:
-    """Raise RangeError unless the table reaches every r <= b*N + 1 that a
-    window integral over [a, b] with p <= N can pair with p."""
+def _window_primes(a, b, cfg: ApproxConfig, N: int, table: ArithTable):
+    """The primes p <= N and their slack thresholds, once A <= a < b <= B
+    and a table reaching every partner r <= b*N + 1 are checked."""
+    if not (Fraction(cfg.A) <= Fraction(a) < Fraction(b) <= Fraction(cfg.B)):
+        raise ContractError("need A <= a < b <= B")
     need = int(math.ceil(float(Fraction(b)) * N)) + 1
     if need > table.limit:
         raise RangeError(f"table limit {table.limit} too small; need >= {need}")
+    ps = table.primes[:np.searchsorted(table.primes, N, side="right")]
+    return ps, cfg.slack_threshold(ps)
 
 
-def _exact_prime_segments(a, b, cfg: ApproxConfig, N: int, table: ArithTable):
-    """Yield (p, D, segments) per prime, segments = [(lo, hi)] scaled by D.
+def _exact_prime_segments(a, b, cfg: ApproxConfig, ps: np.ndarray,
+                          eta: np.ndarray, primes: np.ndarray):
+    """Yield (p, D, segments) per prime p of ``ps`` (threshold: the same
+    entry of ``eta``), segments = [(lo, hi)] scaled by D.
 
     D = p * 2**128 * prod(craw_i); every admissible-alpha interval endpoint
     for the prime p is an exact multiple of 1/D.
     """
-    exponent = cfg.exponent
     craws = [ci.raw for ci in cfg.c.entries]
     pc = 1
     for cr in craws:
         pc *= cr
     cofs = [pc // cr for cr in craws]
     base = pc << FRAC_BITS
-    primes = table.primes
-    ps = _primes_upto(primes, N)
     r_lo, r_hi = _pair_ranges(primes, ps, float(Fraction(a)), float(Fraction(b)))
-    for p, i, j in zip(ps.tolist(), r_lo.tolist(), r_hi.tolist()):
+    for p, eta_p, i, j in zip(ps.tolist(), eta.tolist(), r_lo.tolist(),
+                              r_hi.tolist()):
         D = p * base
         aD = _scaled_endpoint(a, D)
         bD = _scaled_endpoint(b, D)
-        eta_int = int(math.ldexp(float(p) ** exponent, FRAC_BITS))
+        eta_int = int(math.ldexp(eta_p, FRAC_BITS))
         eta_off = eta_int * pc
         segments = []
         for r in primes[i:j].tolist():
@@ -334,26 +348,6 @@ def _exact_prime_segments(a, b, cfg: ApproxConfig, N: int, table: ArithTable):
         yield p, D, segments
 
 
-def _integral_exact(a, b, cfg: ApproxConfig, N: int,
-                    table: ArithTable) -> Fraction:
-    total = Fraction(0)
-    for _, D, segments in _exact_prime_segments(a, b, cfg, N, table):
-        if segments:
-            total += Fraction(sum(h - l for l, h in segments), D)
-    return total
-
-
-def _index_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """The indices of [starts[0], stops[0]), [starts[1], stops[1]), ... in order."""
-    lens = stops - starts
-    return np.arange(int(lens.sum())) + np.repeat(starts - (np.cumsum(lens) - lens),
-                                                  lens)
-
-
-def _primes_upto(primes: np.ndarray, N: int) -> np.ndarray:
-    return primes[:np.searchsorted(primes, N, side="right")]
-
-
 def _pair_ranges(primes: np.ndarray, pf: np.ndarray, a: float, b: float):
     """Index range [lo, hi) into primes of the r in [a*p - 1, b*p + 1], per p."""
     lo = np.searchsorted(primes, np.floor(a * pf - 1.0).astype(np.int64),
@@ -363,13 +357,13 @@ def _pair_ranges(primes: np.ndarray, pf: np.ndarray, a: float, b: float):
     return lo, hi
 
 
-def _pair_chunks(primes: np.ndarray, pf: np.ndarray, lo_idx: np.ndarray,
-                 hi_idx: np.ndarray, pair_budget: int):
-    """Yield (p_rep, r) float64 pair arrays of at most pair_budget pairs each.
+def _pair_chunks(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
+                 lo_idx: np.ndarray, hi_idx: np.ndarray, pair_budget: int):
+    """Yield (p_rep, eta_rep, r) float64 arrays of at most pair_budget pairs.
 
     Pairs are (pf[j], primes[i]) for i in [lo_idx[j], hi_idx[j]), in order
-    of j then i.  A chunk may end inside one range, so memory stays flat
-    in N however many r one p pairs with.
+    of j then i, with eta[j] repeated beside pf[j].  A chunk may end inside
+    one range, so memory stays flat in N however many r one p pairs with.
     """
     lens = hi_idx - lo_idx
     ends = np.cumsum(lens)
@@ -379,18 +373,20 @@ def _pair_chunks(primes: np.ndarray, pf: np.ndarray, lo_idx: np.ndarray,
         stop = min(start + pair_budget, total)
         first = int(np.searchsorted(ends, start, side="right"))
         last = int(np.searchsorted(ends, stop - 1, side="right")) + 1
-        seg_lo = np.maximum(begins[first:last], start)
-        seg_hi = np.minimum(ends[first:last], stop)
-        shift = lo_idx[first:last] - begins[first:last]
-        r = primes[_index_ranges(seg_lo + shift, seg_hi + shift)]
-        yield np.repeat(pf[first:last], seg_hi - seg_lo), r.astype(np.float64)
+        reps = (np.minimum(ends[first:last], stop)
+                - np.maximum(begins[first:last], start))
+        # pair number g of range j has r = primes[g + lo_idx[j] - begins[j]]
+        shift = np.repeat(lo_idx[first:last] - begins[first:last], reps)
+        r = primes[np.arange(start, stop) + shift].astype(float)
+        yield np.repeat(pf[first:last], reps), np.repeat(eta[first:last], reps), r
 
 
-def _box_sum(primes: np.ndarray, pf: np.ndarray, lo_idx: np.ndarray,
-             hi_idx: np.ndarray, a: float, b: float, cs: list[float],
-             exponent: float) -> float:
+def _box_sum(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
+             lo_idx: np.ndarray, hi_idx: np.ndarray, a: float, b: float,
+             cfg: ApproxConfig) -> float:
     """Sum of the window-integral terms of the pairs (pf[j], primes[i]),
-    i in [lo_idx[j], hi_idx[j]), for any d >= 1, streamed box by box.
+    i in [lo_idx[j], hi_idx[j]), for any d >= 1, streamed box by box;
+    eta[j] is the slack threshold of pf[j].
 
     A pair (p, r) admits alpha in [lo, hi) = [max(r/p, a), min((r + eta)/p,
     b)), empty when hi <= lo; dimension i admits the windows
@@ -404,11 +400,12 @@ def _box_sum(primes: np.ndarray, pf: np.ndarray, lo_idx: np.ndarray,
     side by side, in two reused buffers.  Memory is
     O(PAIR_BUDGET * sum n_cand_i), flat in N; the pairs are visited.
     """
-    eta_max = 2.0 ** exponent  # largest threshold, attained at p = 2
+    cs = cfg.c.floats()
+    eta_max = cfg.slack_threshold(2)  # largest threshold, attained at p = 2
     n_cand = [int(math.floor(ci * eta_max)) + 2 for ci in cs]
     sums = []
-    for p_rep, r in _pair_chunks(primes, pf, lo_idx, hi_idx, PAIR_BUDGET):
-        eta_rep = p_rep ** exponent
+    for p_rep, eta_rep, r in _pair_chunks(primes, pf, eta, lo_idx, hi_idx,
+                                          PAIR_BUDGET):
         lo = np.maximum(r / p_rep, a)
         hi = np.minimum((r + eta_rep) / p_rep, b)
         lows, highs = [], []  # per dimension, one row per candidate q
@@ -468,9 +465,9 @@ def _dominance_sums(x: np.ndarray, i: np.ndarray,
     return count, total
 
 
-def _d1_band_sum(primes: np.ndarray, pf: np.ndarray, a: float, b: float,
-                 c_fixed: FixedReal, exponent: float) -> float:
-    """The d=1 integral over p in pf and prime r, interior pairs unvisited.
+def _d1_band_sum(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
+                 a: float, b: float, cfg: ApproxConfig) -> float:
+    """The d=1 integral over p in pf (thresholds eta), interior pairs unvisited.
 
     For beta = p*alpha in [s, t), the measure of {frac(c beta) < eta,
     floor(c beta) >= 1} is (F(c t) - F(c s))/c minus the floor-zero band,
@@ -487,16 +484,17 @@ def _d1_band_sum(primes: np.ndarray, pf: np.ndarray, a: float, b: float,
     """
     if not pf.size:
         return 0.0
+    c_fixed = cfg.c.entries[0]
     c = c_fixed.to_float()
-    eta = pf ** exponent
     lo, hi = _pair_ranges(primes, pf, a, b)
     # interior pairs: float thresholds, as eta/c overflows int64 for tiny c
     i0 = np.minimum(np.searchsorted(primes, np.maximum(a * pf, eta / c),
                                     side="left"), hi)
     i1 = np.maximum(np.searchsorted(primes, b * pf - eta, side="right"), i0)
 
-    edge = _box_sum(primes, np.tile(pf, 2), np.concatenate((lo, i1)),
-                    np.concatenate((i0, hi)), a, b, [c], exponent)
+    edge = _box_sum(primes, np.tile(pf, 2), np.tile(eta, 2),
+                    np.concatenate((lo, i1)), np.concatenate((i0, hi)), a, b,
+                    cfg)
 
     x = frac_multiples(c_fixed, primes[:int(i1.max())])
     run = np.concatenate(([0.0], np.cumsum(x)))
@@ -530,25 +528,27 @@ def witness_integral(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
     interval arithmetic); method='fast' returns a float64 evaluation with
     relative error well below 1e-6; 'auto' switches on N.  The fast path
     sums every (p, r) pair with ``_box_sum`` for d >= 2; for d = 1,
-    ``_d1_band_sum`` sums the interior pairs without visiting them.
+    ``_d1_band_sum`` sums the interior pairs without visiting them; every
+    path reads the thresholds of the primes p <= N, taken once.
     """
-    a_fr, b_fr = Fraction(a), Fraction(b)
-    if not (Fraction(cfg.A) <= a_fr < b_fr <= Fraction(cfg.B)):
-        raise ContractError("need A <= a < b <= B")
     if method == "auto":
         method = "exact" if N <= EXACT_INTEGRAL_DEFAULT_LIMIT else "fast"
     if method not in ("exact", "fast"):
         raise ContractError(f"unknown method {method!r}")
-    _check_table_covers(b_fr, N, table)
-    if method == "exact":
-        return _integral_exact(a, b, cfg, N, table)
-    a_f, b_f = float(a_fr), float(b_fr)
+    ps, eta = _window_primes(a, b, cfg, N, table)
     primes = table.primes
-    pf = _primes_upto(primes, N).astype(np.float64)
+    if method == "exact":
+        total = Fraction(0)
+        for _, D, segments in _exact_prime_segments(a, b, cfg, ps, eta, primes):
+            if segments:
+                total += Fraction(sum(h - l for l, h in segments), D)
+        return total
+    a_f, b_f = float(Fraction(a)), float(Fraction(b))
+    pf = ps.astype(np.float64)
     if cfg.d == 1:
-        return _d1_band_sum(primes, pf, a_f, b_f, cfg.c.entries[0], cfg.exponent)
-    return _box_sum(primes, pf, *_pair_ranges(primes, pf, a_f, b_f), a_f, b_f,
-                    cfg.c.floats(), cfg.exponent)
+        return _d1_band_sum(primes, pf, eta, a_f, b_f, cfg)
+    return _box_sum(primes, pf, eta, *_pair_ranges(primes, pf, a_f, b_f), a_f,
+                    b_f, cfg)
 
 
 def riemann_scan(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
@@ -558,29 +558,26 @@ def riemann_scan(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
     Grid: alpha_g = a + g*(b-a)/points, 0 <= g < points.  Returns the sum
     times the spacing (an exact Fraction) and the number of positive-length
     intervals scanned; |riemann - exact integral| <= spacing * intervals.
+    Needs points >= 1 and the window of ``witness_integral``.
     """
+    if points < 1:
+        raise ContractError(f"points={points} must be at least 1")
+    ps, eta = _window_primes(a, b, cfg, N, table)
     a_fr = Fraction(a)
     width = Fraction(b) - a_fr
-    if width <= 0:
-        raise ContractError("need a < b")
-    _check_table_covers(b, N, table)
     hits = 0
     intervals = 0
-    for p, D, segments in _exact_prime_segments(a, b, cfg, N, table):
+    for _, D, segments in _exact_prime_segments(a, b, cfg, ps, eta,
+                                                table.primes):
         aD = _scaled_endpoint(a_fr, D)
         # g > (L - aD) * points / (width * D);  g < (H - aD) * points / (...)
         den = width.numerator * D
         scale = points * width.denominator
+        intervals += len(segments)
         for L, H in segments:
-            intervals += 1
-            num_lo = (L - aD) * scale
-            num_hi = (H - aD) * scale
-            g_min = num_lo // den + 1
-            g_max = (num_hi - 1) // den
-            g_min = max(g_min, 0)
-            g_max = min(g_max, points - 1)
-            if g_max >= g_min:
-                hits += g_max - g_min + 1
+            g_min = max((L - aD) * scale // den + 1, 0)
+            g_max = min(((H - aD) * scale - 1) // den, points - 1)
+            hits += max(g_max - g_min + 1, 0)
     return hits * width / points, intervals
 
 
@@ -617,21 +614,18 @@ def target_growth_alt(cfg: ApproxConfig, N: int) -> float:
 # Window counts
 # ----------------------------------------------------------------------
 
-def window_counts(wp: WindowParams, cfg: ApproxConfig, table: ArithTable,
-                  delta: float | None = None) -> WindowCounts:
+def window_counts(wp: WindowParams, cfg: ApproxConfig,
+                  table: ArithTable) -> WindowCounts:
     """Lambda-weighted and prime counts of lattice hits over one window.
 
     weighted = sum over n in wp.lambda_window of Lambda(n) * prod_i #(integers
     in [c_i n, c_i n + delta)); prime_count is the same product summed over
     primes r only; solutions = primes_in_window * prime_count.  One pass over
     the Lambda support serves both sums: every prime of the range is in it.
-
-    ``delta`` overrides the window's derived value (diagnostics only).
     """
-    dl = wp.delta if delta is None else delta
-    if dl <= 0:
+    if wp.delta <= 0:
         raise ContractError("delta must be positive")
-    D, g = divmod(int(math.ldexp(dl, FRAC_BITS)), SCALE)  # delta = D + g
+    D, g = divmod(int(math.ldexp(wp.delta, FRAC_BITS)), SCALE)  # delta = D + g
     P = wp.P
     n_lo, n_hi = wp.lambda_window
     if n_hi > table.limit:
@@ -675,12 +669,12 @@ def product_set(alpha: FixedReal, cfg: ApproxConfig, N: int,
                 mu: float | None = None) -> list[tuple[int, int]]:
     """Members n <= N passing all d+1 fractional-part tests, with n*floor(n*alpha).
 
-    mu defaults to N**(eps-gamma); an explicit value supports degenerate
-    diagnostics (mu >= 1 admits every n).
+    mu defaults to the slack threshold at N; an explicit value supports
+    degenerate diagnostics (mu >= 1 admits every n).
     """
     if alpha.raw <= 0:
         raise ContractError("alpha must be positive")
-    mu_val = float(N) ** cfg.exponent if mu is None else mu
+    mu_val = cfg.slack_threshold(N) if mu is None else mu
     if not mu_val > 0:
         raise ContractError("mu must be positive")
     if N >= LIMB_MULTIPLIER_BOUND:
@@ -710,15 +704,15 @@ def sieve_side_counts(alpha: FixedReal, sp: SieveSideParams, cfg: ApproxConfig,
     m = n t1 of ``product_set`` with t2 | floor(m alpha), so s_exact filters
     the product set by (t1, t2).  main_term = N mu**(d+1)/(t1 t2).  e_bound
     evaluates the min-form majorant of the exponential-sum error over the
-    punctured box max|m| <= L.
+    punctured box max|m| <= L, whose size is checked against ``cap`` first.
     """
+    l_int = _box_half_width(sp.L, cfg.d, cap)
     t1, t2, N = sp.t1, sp.t2, sp.N
     mu = sp.mu_target
     s_exact = sum(1 for m, v in product_set(alpha, cfg, N, mu)
                   if m % t1 == 0 and v // m % t2 == 0)
     main = N * mu ** (cfg.d + 1) / (t1 * t2)
-    box = _half_box_grid(int(math.floor(sp.L)), cfg.d + 1, cap)
-    e_bound = _sieve_error_majorant(alpha, sp, cfg, box)
+    e_bound = _sieve_error_majorant(alpha, sp, cfg, l_int)
     return SieveSideCounts(s_exact=s_exact, main_term=main, e_bound=e_bound)
 
 
@@ -733,30 +727,30 @@ def congruence_pairs(Q: float):
         t1 += 1
 
 
-def _half_box_grid(l_int: int, d_plus_1: int, cap: int) -> np.ndarray:
-    """The half of the punctured box max|m_i| <= l_int as float64 rows.
-
-    These are the rows after the centre of the product-order grid: the m
-    whose first nonzero component is positive, as ``half_box`` yields them
-    on symmetric spans.  The cap applies to the full box.
-    """
-    count = (2 * l_int + 1) ** d_plus_1
+def _box_half_width(L: float, d: int, cap: int) -> int:
+    """floor(L), once the full box of that radius in m_0..m_d fits ``cap``."""
+    l_int = int(math.floor(L))
+    count = (2 * l_int + 1) ** (d + 1)
     if count > cap:
         raise ResourceCapError(
             f"error-sum box of {count} points exceeds cap {cap}"
         )
-    axes = [np.arange(-l_int, l_int + 1, dtype=np.float64)] * d_plus_1
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)[count // 2 + 1:]
+    return l_int
 
 
 def _sieve_error_majorant(alpha: FixedReal, sp: SieveSideParams,
-                          cfg: ApproxConfig, box: np.ndarray) -> float:
-    """The min-form majorant over the punctured box, from its half ``box``:
-    the terms at m and -m are equal, so the half sum is doubled."""
+                          cfg: ApproxConfig, l_int: int) -> float:
+    """The min-form majorant over the punctured box max|m_i| <= l_int, as
+    twice the half box's sum.  The slopes sum m_i c_i of the (2 l_int + 1)**d
+    points (m_1..m_d) are one matrix product (an outer sum of the axes
+    rounds otherwise, moving d = 2 by 6e-12 relative at N = 2**18); m_0/t2
+    is added over the half after the centre, in ``half_box`` order."""
     t1, t2 = sp.t1, sp.t2
-    cs = np.array(cfg.c.floats())
-    inner = box[:, 0] / t2 + box[:, 1:] @ cs
+    axes = np.meshgrid(*[np.arange(-l_int, l_int + 1, dtype=np.float64)] * cfg.d,
+                       indexing="ij")
+    slope = np.stack([m.ravel() for m in axes], axis=-1) @ np.array(cfg.c.floats())
+    rows = np.arange(1, l_int + 1, dtype=np.float64)[:, None] / t2 + slope
+    inner = np.concatenate((slope[slope.size // 2 + 1:], rows.ravel()))
     val = alpha.to_float() * t1 * inner
     dist = np.abs(val - np.round(val))
     terms = _min_terms(sp.N / t1, dist)
@@ -776,9 +770,9 @@ def sieve_side_error_raw(alpha: FixedReal, sp: SieveSideParams,
     those distances over M and the sines run in binary64.  |S(-m)| = |S(m)|,
     so the sum runs over the majorant's half box and cap, doubled.
     """
+    l_int = _box_half_width(sp.L, cfg.d, cap)
     t1, t2 = sp.t1, sp.t2
     K = sp.N // t1
-    box = _half_box_grid(int(math.floor(sp.L)), cfg.d + 1, cap)
     modulus = t2 << 256
     a = alpha.raw * t1
     coeffs = [a << FRAC_BITS] + [a * t2 * ci.raw for ci in cfg.c.entries]
@@ -787,8 +781,8 @@ def sieve_side_error_raw(alpha: FixedReal, sp: SieveSideParams,
         return math.sin(math.pi * (min(v, modulus - v) / modulus))
 
     total = 0.0
-    for row in box.tolist():
-        w = sum(int(mi) * ci for mi, ci in zip(row, coeffs)) % modulus
+    for m in half_box([range(-l_int, l_int + 1)] * (cfg.d + 1)):
+        w = sum(mi * ci for mi, ci in zip(m, coeffs)) % modulus
         total += sine(K * w % modulus) / sine(w) if w else K
     return float(sp.mu_target ** (cfg.d + 1) / t2 * 2.0 * total)
 
@@ -799,15 +793,15 @@ def sieve_error_sum(alpha: FixedReal, cfg: ApproxConfig, N: int,
     """Weighted error functional over all congruence pairs t1*t2 <= Q:
     sum (t1 t2)**eps * (N mu**d / L + e_bound(t1, t2)).
 
-    L = Q**3 / mu does not depend on the pair, so one half box serves all.
+    L = Q**3 / mu does not depend on the pair: one cap check serves all.
     """
+    mu = cfg.slack_threshold(N)
     qq = float(N) ** cfg.epsilon if Q is None else Q
-    mu = float(N) ** cfg.exponent
-    box = _half_box_grid(int(math.floor(qq ** 3 / mu)), cfg.d + 1, cap)
+    l_int = _box_half_width(qq ** 3 / mu, cfg.d, cap)
     total = 0.0
     for t1, t2 in congruence_pairs(qq):
         sp = SieveSideParams.from_config(cfg, N, t1, t2, Q=qq)
-        e_term = _sieve_error_majorant(alpha, sp, cfg, box)
+        e_term = _sieve_error_majorant(alpha, sp, cfg, l_int)
         total += ((t1 * t2) ** cfg.epsilon
                   * (N * sp.mu_target ** cfg.d / sp.L + e_term))
     return total

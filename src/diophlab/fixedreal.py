@@ -279,13 +279,11 @@ class CVector:
     """Positive slope vector together with its Diophantine exponent.
 
     ``entries`` are the line's direction components, ``k`` the exponent of
-    the quality condition ``dist(v . c) > C / max|v|**k``; ``c_est`` holds a
-    finite-range certificate for C when one has been computed.
+    the quality condition ``dist(v . c) > C / max|v|**k``.
     """
 
     entries: tuple[FixedReal, ...]
     k: float
-    c_est: float | None = None
 
     def __post_init__(self):
         if not self.entries:
@@ -302,9 +300,9 @@ class CVector:
         return len(self.entries)
 
     @classmethod
-    def parse(cls, text: str, k: float, c_est: float | None = None) -> "CVector":
+    def parse(cls, text: str, k: float) -> "CVector":
         parts = [p for p in text.split(",") if p.strip()]
-        return cls(tuple(parse_real(p) for p in parts), float(k), c_est)
+        return cls(tuple(parse_real(p) for p in parts), float(k))
 
     def floats(self) -> list[float]:
         return [c.to_float() for c in self.entries]

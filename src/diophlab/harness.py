@@ -109,6 +109,19 @@ class UpperBoundReport:
 TREND_DRIFT_TOLERANCE = 0.035
 
 
+def _grid_table(n_grid: list[int], table: ArithTable | None,
+                reach: float) -> ArithTable:
+    """Check the N grid as every grid check does (nonempty, ascending) and
+    return ``table``, by default one reaching reach * max(N) + 2."""
+    if not n_grid:
+        raise ContractError("N grid must not be empty")
+    if sorted(n_grid) != list(n_grid):
+        raise ContractError("N grid must be ascending")
+    if table is None:
+        table = build_arith_table(int(math.ceil(reach * max(n_grid))) + 2)
+    return table
+
+
 def lower_bound_check(a: float, b: float, n_grid: list[int], cfg: ApproxConfig,
                       table: ArithTable | None = None,
                       method: str = "auto",
@@ -118,12 +131,7 @@ def lower_bound_check(a: float, b: float, n_grid: list[int], cfg: ApproxConfig,
     ratio = integral / ((b-a) * target).  The strict nondecreasing flag and
     the pinned-drift regression flag both cover the top half of the grid.
     """
-    if not n_grid:
-        raise ContractError("N grid must not be empty")
-    if sorted(n_grid) != list(n_grid):
-        raise ContractError("N grid must be ascending")
-    if table is None:
-        table = build_arith_table(int(math.ceil(b * max(n_grid))) + 2)
+    table = _grid_table(n_grid, table, b)
 
     def one_row(N: int) -> HarnessRow:
         integral = witness_integral(a, b, cfg, N, table, method=method)
@@ -159,8 +167,7 @@ def upper_bound_check(n_grid: list[int], cfg: ApproxConfig, sample_count: int,
     """
     if sample_count < 10:
         raise ContractError("need at least 10 samples")
-    if table is None:
-        table = build_arith_table(int(math.ceil(cfg.B * max(n_grid))) + 2)
+    table = _grid_table(n_grid, table, cfg.B)
     alphas = kronecker_samples(cfg.A, cfg.B, sample_count, seed)
     k_est = 0.0
     rows = []
@@ -180,8 +187,7 @@ def upper_bound_check(n_grid: list[int], cfg: ApproxConfig, sample_count: int,
 def limsup_track(alpha: FixedReal, cfg: ApproxConfig, n_grid: list[int],
                  table: ArithTable | None = None) -> list[tuple[int, float, float]]:
     """Ratio F_N(alpha)/G_N along the grid with its running maximum."""
-    if table is None:
-        table = build_arith_table(int(math.ceil(alpha.to_float() * max(n_grid))) + 2)
+    table = _grid_table(n_grid, table, alpha.to_float())
     out = []
     running = 0.0
     for N in n_grid:
@@ -483,14 +489,16 @@ def average_error_check(n_grid: list[int], cfg: ApproxConfig,
 
     Rows are (N, lhs, target, ratio) with lhs = quadrature over alpha of
     sum_{t1 t2 <= Q} (t1 t2)**eps * E-majorant and target = N mu**(d+1) /
-    (log N)**2.
+    (log N)**2, on an N grid starting at 2 or above.
     """
+    table = _grid_table(n_grid, table, cfg.B)
+    if n_grid[0] < 2:
+        raise ContractError(f"N={n_grid[0]} must be at least 2")
     alphas = kronecker_samples(cfg.A, cfg.B, alpha_samples, seed)
     rows = []
     for N in n_grid:
         vals = [sieve_error_sum(alpha, cfg, N, table) for alpha in alphas]
         lhs = (cfg.B - cfg.A) * math.fsum(vals) / len(vals)
-        mu = float(N) ** cfg.exponent
-        target = N * mu ** (cfg.d + 1) / math.log(N) ** 2
+        target = N * cfg.slack_threshold(N) ** (cfg.d + 1) / math.log(N) ** 2
         rows.append((N, lhs, target, lhs / target))
     return rows

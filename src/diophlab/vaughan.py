@@ -35,9 +35,9 @@ class VaughanParams:
             raise ContractError("need u*v <= x")
 
     @classmethod
-    def balanced(cls, x: float, u: float | None = None) -> "VaughanParams":
-        """u = v split, defaulting to x**(2/5)."""
-        uu = x ** 0.4 if u is None else u
+    def balanced(cls, x: float) -> "VaughanParams":
+        """The u = v = x**(2/5) split."""
+        uu = x ** 0.4
         return cls(u=uu, v=uu, x=x)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -12,11 +13,9 @@ from hypothesis import strategies as st
 from diophlab import counting
 from diophlab.arith import build_arith_table
 from diophlab.counting import (
-    DEFAULT_SIEVE_CAP,
     ApproxConfig,
     SieveSideParams,
     WindowParams,
-    _half_box_grid,
     _pair_chunks,
     _pair_ranges,
     congruence_pairs,
@@ -47,14 +46,15 @@ def _trial_prime(m: int) -> bool:
     return True
 
 
-def reference_d1_band_sum(primes, ps, a, b, c, exponent, pair_budget=4_000_000):
+def reference_d1_band_sum(primes, ps, a, b, cfg, pair_budget=4_000_000):
     """The pair-by-pair d=1 fast kernel the dominance-sum kernel replaced:
     the closed form evaluated on every (p, r) pair, in bounded chunks."""
     chunks = []
+    c = cfg.c.floats()[0]
     pf = ps.astype(np.float64)
-    for p_rep, r in _pair_chunks(primes, pf, *_pair_ranges(primes, pf, a, b),
-                                 pair_budget):
-        eta_rep = p_rep ** exponent
+    for p_rep, eta_rep, r in _pair_chunks(primes, pf, cfg.slack_threshold(pf),
+                                          *_pair_ranges(primes, pf, a, b),
+                                          pair_budget):
         s = np.maximum(r, a * p_rep)
         t = np.minimum(r + eta_rep, b * p_rep)
         np.maximum(t, s, out=t)  # clamp empty intervals to zero length
@@ -76,17 +76,18 @@ def reference_d1_band_sum(primes, ps, a, b, c, exponent, pair_budget=4_000_000):
     return math.fsum(chunks)
 
 
-def reference_fast_general(primes, ps, a, b, cs, exponent, pair_budget=1 << 14):
+def reference_fast_general(primes, ps, a, b, cfg, pair_budget=1 << 14):
     """The d >= 2 fast kernel the streamed one replaced: each dimension
     splits every interval piece over its q candidates, taken from the
     piece's lower end, and the pieces of all dimensions are kept at once."""
-    eta_max = 2.0 ** exponent
+    cs = cfg.c.floats()
+    eta_max = cfg.slack_threshold(2)
     n_cand = [int(math.floor(ci * eta_max)) + 2 for ci in cs]
     chunks = []
     pf = ps.astype(np.float64)
-    for p_rep, r in _pair_chunks(primes, pf, *_pair_ranges(primes, pf, a, b),
-                                 pair_budget):
-        eta_rep = p_rep ** exponent
+    for p_rep, eta_rep, r in _pair_chunks(primes, pf, cfg.slack_threshold(pf),
+                                          *_pair_ranges(primes, pf, a, b),
+                                          pair_budget):
         lo = np.maximum(r / p_rep, a)
         hi = np.minimum((r + eta_rep) / p_rep, b)
         live = hi > lo
@@ -203,6 +204,19 @@ def dyadic_slopes():
                      st.integers(0, 8))
 
 
+@st.composite
+def random_configs(draw):
+    """d in {1, 2}, named and dyadic slopes, k >= d, eps in (0, gamma), on
+    [A, B] = [1, 2]."""
+    d = draw(st.integers(1, 2))
+    slopes = draw(st.lists(st.one_of(NAMED_SLOPES, dyadic_slopes()),
+                           min_size=d, max_size=d))
+    c = CVector(tuple(_slope(s) for s in slopes), d + draw(st.floats(0.0, 2.0)))
+    gamma = 1.0 / (d * (3.0 * c.k + 2.0))
+    eps_share = draw(st.floats(1e-3, 1.0, exclude_max=True))
+    return ApproxConfig(c=c, epsilon=eps_share * gamma, A=1.0, B=2.0)
+
+
 def naive_count(alpha, cfg, n_max):
     """Quadruple-loop oracle in exact rational arithmetic, fully independent
     of the table and of the floor shortcut."""
@@ -254,6 +268,23 @@ class TestConfig:
                          A=2.0, B=1.0)
 
 
+    def test_slack_threshold_is_python_pow(self, golden_cfg, two_dim_cfg,
+                                           table_small):
+        ps = table_small.primes_between(2, 2**16)
+        for cfg in (golden_cfg, two_dim_cfg):
+            want = [float(p) ** cfg.exponent for p in ps.tolist()]
+            thr = cfg.slack_threshold(ps)
+            assert thr.dtype == np.float64 and thr.tolist() == want
+            scalar = cfg.slack_threshold(int(ps[-1]))
+            assert type(scalar) is float and scalar == want[-1]
+        assert golden_cfg.slack_threshold(np.array([], dtype=np.int64)).size == 0
+
+    @pytest.mark.parametrize("x", [0, -1.0, math.nan, np.array([2.0, 0.0])])
+    def test_slack_threshold_rejects_non_positive(self, golden_cfg, x):
+        with pytest.raises(ContractError, match="x > 0"):
+            golden_cfg.slack_threshold(x)
+
+
 class TestCountWitnesses:
     def test_no_primes(self, golden_cfg, table_small):
         count, tuples = count_witnesses(constant("sqrt3"), golden_cfg, 1,
@@ -296,6 +327,22 @@ class TestCountWitnesses:
         n_max = random.Random(repr((alpha, slopes))).randint(600, 1200)
         got, tuples = count_witnesses(_slope(alpha), cfg, n_max, table_small)
         want, wit = naive_count(_slope(alpha), cfg, n_max)
+        assert got == want
+        assert [(t.p, t.r, t.q) for t in tuples] == wit
+
+    @settings(max_examples=20)
+    @given(cfg=random_configs(),
+           alpha=st.one_of(
+               st.integers(1 << 127, 5 << 127).map(FixedReal),
+               st.builds(lambda m, e: FixedReal.from_float(m / 2**e),
+                         st.integers(2, 10), st.integers(0, 2))),
+           N=st.integers(2, 400))
+    def test_matches_naive_oracle_on_random_instances(self, table_small, cfg,
+                                                      alpha, N):
+        # alpha in [0.5, 2.5]: random 128-bit values and dyadics m / 2**e,
+        # which put frac(p alpha) and frac(p c alpha) on 0 for some p
+        got, tuples = count_witnesses(alpha, cfg, N, table_small)
+        want, wit = naive_count(alpha, cfg, N)
         assert got == want
         assert [(t.p, t.r, t.q) for t in tuples] == wit
 
@@ -384,8 +431,7 @@ class TestWitnessIntegral:
         a, b = window
         got = witness_integral(a, b, cfg, N, table_small, method="fast")
         primes = table_small.primes
-        want = reference_d1_band_sum(primes, primes[primes <= N], a, b,
-                                     c.to_float(), cfg.exponent)
+        want = reference_d1_band_sum(primes, primes[primes <= N], a, b, cfg)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_fast_d1_tiny_n(self, golden_cfg, table_small):
@@ -432,18 +478,9 @@ class TestWitnessIntegral:
         assert fa == pytest.approx(float(ex), rel=1e-9)
 
     @settings(max_examples=40)
-    @given(slopes=st.integers(1, 2).flatmap(
-               lambda d: st.lists(st.one_of(NAMED_SLOPES, dyadic_slopes()),
-                                  min_size=d, max_size=d)),
-           k_extra=st.floats(0.0, 2.0), window=dyadic_windows(),
-           N=st.integers(2, 2**10),
-           eps_share=st.floats(1e-3, 1.0, exclude_max=True))
-    def test_exact_additive_and_fast_close(self, table_small, slopes, k_extra,
-                                           window, N, eps_share):
-        d = len(slopes)
-        c = CVector(tuple(_slope(s) for s in slopes), d + k_extra)
-        gamma = 1.0 / (d * (3.0 * c.k + 2.0))
-        cfg = ApproxConfig(c=c, epsilon=eps_share * gamma, A=1.0, B=2.0)
+    @given(cfg=random_configs(), window=dyadic_windows(),
+           N=st.integers(2, 2**10))
+    def test_exact_additive_and_fast_close(self, table_small, cfg, window, N):
         a, b = window
         mid = (a + b) / 2
 
@@ -474,8 +511,7 @@ class TestWitnessIntegral:
         a, b = window
         got = witness_integral(a, b, cfg, N, table_small, method="fast")
         primes = table_small.primes
-        want = reference_fast_general(primes, primes[primes <= N], a, b,
-                                      c.floats(), cfg.exponent)
+        want = reference_fast_general(primes, primes[primes <= N], a, b, cfg)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_fast_matches_exact_d3(self, table_small):
@@ -496,18 +532,21 @@ class TestWitnessIntegral:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
-    def test_pair_chunks_cover_every_pair_once(self, table_small):
+    def test_pair_chunks_cover_every_pair_once(self, golden_cfg, table_small):
         primes = table_small.primes
         for N, a, b in ((2, 1.0, 2.0), (700, 1.0, 2.0), (1000, 1.25, 1.5)):
             pf = primes[primes <= N].astype(np.float64)
+            eta = golden_cfg.slack_threshold(pf)
             lo, hi = _pair_ranges(primes, pf, a, b)
-            want = [(p, float(r)) for p, l, h in zip(pf, lo, hi)
+            want = [(p, e, float(r)) for p, e, l, h in zip(pf, eta, lo, hi)
                     for r in primes[l:h]]
             for budget in (1, 3, 100, 2**14):
-                chunks = list(_pair_chunks(primes, pf, lo, hi, budget))
-                assert all(0 < p.size == r.size <= budget for p, r in chunks)
+                chunks = list(_pair_chunks(primes, pf, eta, lo, hi, budget))
+                assert all(0 < p.size == e.size == r.size <= budget
+                           for p, e, r in chunks)
                 got = list(itertools.chain.from_iterable(
-                    zip(p.tolist(), r.tolist()) for p, r in chunks))
+                    zip(p.tolist(), e.tolist(), r.tolist())
+                    for p, e, r in chunks))
                 assert got == want
 
     def test_interval_within_config(self, golden_cfg, table_small):
@@ -533,6 +572,31 @@ class TestWitnessIntegral:
             riemann_scan(1.0, 2.0, golden_cfg, 300, tiny, 100)
         ok = build_arith_table(601)
         assert witness_integral(1.0, 2.0, golden_cfg, 300, ok, method="fast") > 0
+
+    @settings(max_examples=20)
+    @given(cfg=random_configs(), window=dyadic_windows(),
+           N=st.integers(2, 2**10), points=st.integers(1, 2**12))
+    def test_riemann_within_interval_bound(self, table_small, cfg, window, N,
+                                           points):
+        a, b = window
+        riemann, intervals = riemann_scan(a, b, cfg, N, table_small, points)
+        exact = witness_integral(a, b, cfg, N, table_small, method="exact")
+        spacing = (Fraction(b) - Fraction(a)) / points
+        assert abs(riemann - exact) <= spacing * intervals
+
+    @pytest.mark.parametrize("a, b, points", [
+        (1.0, 2.0, 0), (1.0, 2.0, -5), (0.5, 1.5, 100), (1.0, 2.5, 100),
+        (1.5, 1.5, 100), (1.75, 1.25, 100)])
+    def test_riemann_rejects_bad_input_before_any_work(self, golden_cfg,
+                                                        table_small,
+                                                        monkeypatch, a, b,
+                                                        points):
+        def no_walk(*args):
+            raise AssertionError("segments walked")
+
+        monkeypatch.setattr(counting, "_exact_prime_segments", no_walk)
+        with pytest.raises(ContractError):
+            riemann_scan(a, b, golden_cfg, 1000, table_small, points)
 
     def test_riemann_within_provable_bound(self, golden_cfg, table_small):
         points = 10**5
@@ -574,14 +638,16 @@ class TestGrowthTarget:
 class TestWindowCounts:
     def test_degenerate_wide_delta(self, golden_cfg, table_small):
         wp = WindowParams.from_config(golden_cfg, 1000)
-        wc = window_counts(wp, golden_cfg, table_small, delta=1.5)
+        wc = window_counts(dataclasses.replace(wp, delta=1.5), golden_cfg,
+                           table_small)
         lam_sum = sum(table_small.von_mangoldt(n)
                       for n in range(int(math.ceil(1500.0)), 2001))
         assert wc.weighted >= lam_sum - 1e-9
 
     def test_degenerate_tiny_delta(self, golden_cfg, table_small):
         wp = WindowParams.from_config(golden_cfg, 1000)
-        wc = window_counts(wp, golden_cfg, table_small, delta=1e-30)
+        wc = window_counts(dataclasses.replace(wp, delta=1e-30), golden_cfg,
+                           table_small)
         assert wc.weighted == 0.0 and wc.prime_count == 0
 
     def test_golden_main_term(self, golden_cfg, table_big):
@@ -625,7 +691,8 @@ class TestWindowCounts:
             terms.append(prod * lam)
             if table_small.is_prime(n):
                 prime_count += prod
-        wc = window_counts(wp, cfg, table_small, delta=delta)
+        wc = window_counts(dataclasses.replace(wp, delta=delta), cfg,
+                           table_small)
         assert wc.prime_count == prime_count
         assert wc.weighted == pytest.approx(math.fsum(terms), rel=1e-12)
 
@@ -740,6 +807,15 @@ class TestSieveSide:
                         res = sieve_side_counts(alpha, sp, cfg, table_small)
                         assert res.s_exact == want, (N, mu, t1, t2)
 
+    @pytest.mark.parametrize("call", [
+        lambda cfg, table: sieve_error_sum(constant("sqrt3"), cfg, 0, table),
+        lambda cfg, table: product_set(constant("sqrt3"), cfg, 0),
+        lambda cfg, table: WindowParams.from_config(cfg, 0),
+        lambda cfg, table: SieveSideParams.from_config(cfg, 0)])
+    def test_level_zero_rejected(self, golden_cfg, table_small, call):
+        with pytest.raises(ContractError, match="x > 0"):
+            call(golden_cfg, table_small)
+
     @pytest.mark.parametrize("mu", [math.nan, 0.0, -1.0, 1.5])
     def test_params_reject_mu_outside_unit_interval(self, mu):
         with pytest.raises(ContractError, match="mu_target"):
@@ -827,16 +903,50 @@ class TestSieveSide:
 
     @pytest.mark.parametrize("dims", [2, 3, 4])
     @pytest.mark.parametrize("l_int", [0, 1, 2, 3])
-    def test_half_box_grid_is_half_box(self, dims, l_int):
-        rows = _half_box_grid(l_int, dims, DEFAULT_SIEVE_CAP)
-        assert rows.dtype == np.float64
-        want = list(half_box([range(-l_int, l_int + 1)] * dims))
-        assert [tuple(int(x) for x in r) for r in rows] == want
+    def test_half_box_grid_is_half_box(self, dims, l_int, table_small):
+        # the majorant's axis-built phases against the same sum over the
+        # rows of fixedreal.half_box: equal for d = 1, where each phase is
+        # one product and one sum
+        cfg = ApproxConfig(c=CVector(tuple(constant(n) for n in
+                                           ("sqrt2", "sqrt3", "phi")[:dims - 1]),
+                                     float(dims)),
+                           epsilon=0.01, A=1.0, B=2.0)
+        alpha = FixedReal.from_float(1.2345)
+        sp = SieveSideParams(N=200, mu_target=0.5, Q=6.0, L=l_int + 0.5,
+                             t1=2, t2=3)
+        rows = np.array(list(half_box([range(-l_int, l_int + 1)] * dims)),
+                        dtype=np.float64).reshape(-1, dims)
+        val = alpha.to_float() * 2 * (rows[:, 0] / 3 + rows[:, 1:]
+                                      @ np.array(cfg.c.floats()))
+        with np.errstate(divide="ignore"):
+            terms = np.minimum(100.0, 1.0 / np.abs(val - np.round(val)))
+        want = 0.5 ** dims / 3 * 2.0 * np.sum(terms)
+        got = sieve_side_counts(alpha, sp, cfg, table_small).e_bound
+        assert got == want if dims == 2 else got == pytest.approx(want, rel=1e-12)
 
-    def test_half_box_grid_caps_the_full_box(self):
-        _half_box_grid(2, 2, 25)
-        with pytest.raises(ResourceCapError, match="box of 25 points"):
-            _half_box_grid(2, 2, 24)
+    def test_box_cap_checked_before_any_work(self, golden_cfg, table_small,
+                                             monkeypatch):
+        # L = 2 and d = 1: the full box max|m_i| <= 2 has 5**2 = 25 points
+        alpha = constant("sqrt3")
+        sp = SieveSideParams(N=100, mu_target=0.5, Q=1.0, L=2.5, t1=1, t2=1)
+        q = 1.2  # floor(q**3 / 100**-0.1) = 2
+        assert SieveSideParams.from_config(golden_cfg, 100, Q=q).L // 1 == 2
+        sieve_error_sum(alpha, golden_cfg, 100, table_small, Q=q, cap=25)
+        sieve_side_counts(alpha, sp, golden_cfg, table_small, cap=25)
+        sieve_side_error_raw(alpha, sp, golden_cfg, cap=25)
+
+        def no_scan(*args):
+            raise AssertionError("product set scanned")
+
+        monkeypatch.setattr(counting, "product_set", no_scan)
+        for call in (
+                lambda: sieve_error_sum(alpha, golden_cfg, 100, table_small,
+                                        Q=q, cap=24),
+                lambda: sieve_side_counts(alpha, sp, golden_cfg, table_small,
+                                          cap=24),
+                lambda: sieve_side_error_raw(alpha, sp, golden_cfg, cap=24)):
+            with pytest.raises(ResourceCapError, match="box of 25 points"):
+                call()
 
     @pytest.mark.parametrize("cfg_name", ["golden_cfg", "two_dim_cfg"])
     def test_half_box_sums_match_full_box_reference(self, cfg_name, request,
@@ -862,25 +972,14 @@ class TestSieveSide:
                             == pytest.approx(reference_error_raw(alpha, sp, cfg),
                                              rel=1e-12, abs=0.0)
 
-    def test_error_sum_builds_one_box_per_call(self, golden_cfg, table_small,
-                                               monkeypatch):
-        builds = []
-
-        def counting_build(*args):
-            builds.append(args)
-            return _half_box_grid(*args)
-
-        monkeypatch.setattr(counting, "_half_box_grid", counting_build)
-        sieve_error_sum(constant("sqrt3"), golden_cfg, 2**18, table_small)
-        assert len(builds) == 1  # shared by the 5 pairs
-
 
 class TestIntervalStructure:
     def test_segments_disjoint_within_prime(self, golden_cfg, table_small):
-        from diophlab.counting import _exact_prime_segments
+        from diophlab.counting import _exact_prime_segments, _window_primes
 
-        for p, _, segments in _exact_prime_segments(1.0, 2.0, golden_cfg, 500,
-                                                    table_small):
+        ps, eta = _window_primes(1.0, 2.0, golden_cfg, 500, table_small)
+        for p, _, segments in _exact_prime_segments(1.0, 2.0, golden_cfg, ps,
+                                                    eta, table_small.primes):
             ordered = sorted(segments)
             for (l1, h1), (l2, h2) in zip(ordered, ordered[1:]):
                 assert h1 <= l2  # disjoint: sum of lengths = measure of union

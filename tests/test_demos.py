@@ -1,0 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+# demo_metric_harness is left out: it takes about 6 s
+@pytest.mark.parametrize("name", [
+    "demo_bound_audit", "demo_rational_approximation",
+    "demo_sawtooth_and_identity", "demo_witness_search"])
+def test_demo_runs(name, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -78,6 +78,34 @@ class TestLowerBound:
                 lower_bound_check(1.0, 2.0, [], golden_cfg, table=table)
 
 
+class TestGridChecks:
+    CHECKS = {
+        "lower": lambda grid, cfg, table: lower_bound_check(
+            1.0, 2.0, grid, cfg, table=table),
+        "upper": lambda grid, cfg, table: upper_bound_check(
+            grid, cfg, 10, 3, table=table),
+        "limsup": lambda grid, cfg, table: limsup_track(
+            constant("sqrt3"), cfg, grid, table=table),
+        "average": lambda grid, cfg, table: average_error_check(
+            grid, cfg, table),
+    }
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    @pytest.mark.parametrize("grid, message", [
+        ([], "must not be empty"), ([4096, 1024], "must be ascending")])
+    def test_shared_grid_validation(self, golden_cfg, table_small, check,
+                                    grid, message):
+        for table in (None, table_small):
+            with pytest.raises(ContractError, match=message):
+                self.CHECKS[check](grid, golden_cfg, table)
+
+    @pytest.mark.parametrize("grid", [[1], [0, 1000], [-3, 1000]])
+    def test_average_error_needs_n_at_least_2(self, golden_cfg, table_small,
+                                              grid):
+        with pytest.raises(ContractError, match="must be at least 2"):
+            average_error_check(grid, golden_cfg, table_small)
+
+
 class TestUpperBound:
     def test_k_est_zero_at_tiny_n(self, golden_cfg, table_small):
         report = upper_bound_check([64, 128], golden_cfg, 10, 3,
