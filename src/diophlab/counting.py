@@ -565,8 +565,7 @@ def riemann_scan(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
     ps, eta = _window_primes(a, b, cfg, N, table)
     a_fr = Fraction(a)
     width = Fraction(b) - a_fr
-    hits = 0
-    intervals = 0
+    hits = intervals = 0
     for _, D, segments in _exact_prime_segments(a, b, cfg, ps, eta,
                                                 table.primes):
         aD = _scaled_endpoint(a_fr, D)
@@ -732,19 +731,17 @@ def _box_half_width(L: float, d: int, cap: int) -> int:
     l_int = int(math.floor(L))
     count = (2 * l_int + 1) ** (d + 1)
     if count > cap:
-        raise ResourceCapError(
-            f"error-sum box of {count} points exceeds cap {cap}"
-        )
+        raise ResourceCapError(f"error-sum box of {count} points "
+                               f"exceeds cap {cap}")
     return l_int
 
 
 def _sieve_error_majorant(alpha: FixedReal, sp: SieveSideParams,
                           cfg: ApproxConfig, l_int: int) -> float:
     """The min-form majorant over the punctured box max|m_i| <= l_int, as
-    twice the half box's sum.  The slopes sum m_i c_i of the (2 l_int + 1)**d
-    points (m_1..m_d) are one matrix product (an outer sum of the axes
-    rounds otherwise, moving d = 2 by 6e-12 relative at N = 2**18); m_0/t2
-    is added over the half after the centre, in ``half_box`` order."""
+    twice the half box's sum.  The slope sums m_i c_i over (m_1..m_d) are one
+    matrix product (an outer sum of the axes rounds otherwise, by 6e-12 rel.
+    at d = 2, N = 2**18); m_0/t2 is then added in ``half_box`` order."""
     t1, t2 = sp.t1, sp.t2
     axes = np.meshgrid(*[np.arange(-l_int, l_int + 1, dtype=np.float64)] * cfg.d,
                        indexing="ij")

@@ -109,14 +109,18 @@ class UpperBoundReport:
 TREND_DRIFT_TOLERANCE = 0.035
 
 
-def _grid_table(n_grid: list[int], table: ArithTable | None,
-                reach: float) -> ArithTable:
-    """Check the N grid as every grid check does (nonempty, ascending) and
-    return ``table``, by default one reaching reach * max(N) + 2."""
+def _check_grid(n_grid: list[int]) -> None:
+    """The N grid check every grid check makes: nonempty, ascending."""
     if not n_grid:
         raise ContractError("N grid must not be empty")
     if sorted(n_grid) != list(n_grid):
         raise ContractError("N grid must be ascending")
+
+
+def _grid_table(n_grid: list[int], table: ArithTable | None,
+                reach: float) -> ArithTable:
+    """Check the N grid; return ``table`` or one reaching reach * max(N) + 2."""
+    _check_grid(n_grid)
     if table is None:
         table = build_arith_table(int(math.ceil(reach * max(n_grid))) + 2)
     return table
@@ -491,7 +495,7 @@ def average_error_check(n_grid: list[int], cfg: ApproxConfig,
     sum_{t1 t2 <= Q} (t1 t2)**eps * E-majorant and target = N mu**(d+1) /
     (log N)**2, on an N grid starting at 2 or above.
     """
-    table = _grid_table(n_grid, table, cfg.B)
+    _check_grid(n_grid)
     if n_grid[0] < 2:
         raise ContractError(f"N={n_grid[0]} must be at least 2")
     alphas = kronecker_samples(cfg.A, cfg.B, alpha_samples, seed)

@@ -37,8 +37,7 @@ class VaughanParams:
     @classmethod
     def balanced(cls, x: float) -> "VaughanParams":
         """The u = v = x**(2/5) split."""
-        uu = x ** 0.4
-        return cls(u=uu, v=uu, x=x)
+        return cls(u=x ** 0.4, v=x ** 0.4, x=x)
 
 
 def b_coeff(table: ArithTable, l: int, v: float) -> int:

@@ -904,9 +904,9 @@ class TestSieveSide:
     @pytest.mark.parametrize("dims", [2, 3, 4])
     @pytest.mark.parametrize("l_int", [0, 1, 2, 3])
     def test_half_box_grid_is_half_box(self, dims, l_int, table_small):
-        # the majorant's axis-built phases against the same sum over the
-        # rows of fixedreal.half_box: equal for d = 1, where each phase is
-        # one product and one sum
+        # the grid the majorant builds from its axes is the half box: its
+        # e_bound equals the same sum over the rows of fixedreal.half_box,
+        # bit for bit at d = 1, where each phase is one product and one sum
         cfg = ApproxConfig(c=CVector(tuple(constant(n) for n in
                                            ("sqrt2", "sqrt3", "phi")[:dims - 1]),
                                      float(dims)),
