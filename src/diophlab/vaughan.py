@@ -37,7 +37,8 @@ class VaughanParams:
     @classmethod
     def balanced(cls, x: float) -> "VaughanParams":
         """The u = v = x**(2/5) split."""
-        return cls(u=x ** 0.4, v=x ** 0.4, x=x)
+        uu = x ** 0.4
+        return cls(u=uu, v=uu, x=x)
 
 
 def b_coeff(table: ArithTable, l: int, v: float) -> int:

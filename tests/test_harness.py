@@ -101,9 +101,14 @@ class TestGridChecks:
 
     @pytest.mark.parametrize("grid", [[1], [0, 1000], [-3, 1000]])
     def test_average_error_needs_n_at_least_2(self, golden_cfg, table_small,
-                                              grid):
-        with pytest.raises(ContractError, match="must be at least 2"):
-            average_error_check(grid, golden_cfg, table_small)
+                                              grid, monkeypatch):
+        def no_build(limit):
+            raise AssertionError("table built before the grid check")
+
+        monkeypatch.setattr(harness, "build_arith_table", no_build)
+        for table in (None, table_small):
+            with pytest.raises(ContractError, match="must be at least 2"):
+                average_error_check(grid, golden_cfg, table)
 
 
 class TestUpperBound:
