@@ -222,16 +222,15 @@ def _cmd_sieve_side(values: dict) -> int:
     n_val = int(values.get("N", 10000))
     out = str(values.get("out", "sieve.csv"))
     q_cap = float(values["Q"]) if values.get("Q") else float(n_val) ** cfg.epsilon
-    table = build_arith_table(max(n_val, 3))
     header = ["N", "t1", "t2", "S_exact", "main_term", "E_bound"]
     rows = []
     for t1, t2 in congruence_pairs(q_cap):
         sp = SieveSideParams.from_config(cfg, n_val, t1, t2, Q=q_cap)
-        res = sieve_side_counts(alpha, sp, cfg, table)
+        res = sieve_side_counts(alpha, sp, cfg)
         rows.append([n_val, t1, t2, res.s_exact, res.main_term, res.e_bound])
     write_csv(out, header, rows, values)
     grid = [n_val // 10, n_val] if n_val >= 100 else [n_val]
-    avg = average_error_check(grid, cfg, table,
+    avg = average_error_check(grid, cfg,
                               alpha_samples=max(8, int(values.get("samples", 8))),
                               seed=int(values.get("seed", 1)))
     for N, lhs, target, ratio in avg:

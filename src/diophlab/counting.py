@@ -14,7 +14,9 @@ treated as exact dyadic rationals.
 The integral of the witness-count over alpha decomposes into measures of
 unions of rational intervals; the exact path below computes it in integer
 arithmetic with a per-prime common denominator, and a documented float64
-fast path covers ranges where the exact path would be too slow.
+fast path covers ranges where the exact path would be too slow.  For d = 1
+both paths sum each prime's interior (p, r) pairs by dominance sums
+instead of visiting them.
 """
 
 from __future__ import annotations
@@ -272,13 +274,12 @@ def revalidate_tuple(tup: SolutionTuple, alpha: FixedReal,
 # Exact integral over alpha
 # ----------------------------------------------------------------------
 
-def _scaled_endpoint(x, D: int) -> int:
-    """x*D as an exact integer for dyadic (float/Fraction/int) x."""
-    fr = Fraction(x)
-    num = fr.numerator * D
-    if num % fr.denominator:
+def _scaled_endpoint(x: Fraction, D: int) -> int:
+    """x*D as an exact integer for a dyadic Fraction x."""
+    num = x.numerator * D
+    if num % x.denominator:
         raise ContractError("endpoint is not exactly representable")
-    return num // fr.denominator
+    return num // x.denominator
 
 
 def _window_primes(a, b, cfg: ApproxConfig, N: int, table: ArithTable):
@@ -294,25 +295,25 @@ def _window_primes(a, b, cfg: ApproxConfig, N: int, table: ArithTable):
 
 
 def _exact_prime_segments(a, b, cfg: ApproxConfig, ps: np.ndarray,
-                          eta: np.ndarray, primes: np.ndarray):
+                          eta: np.ndarray, primes: np.ndarray,
+                          lo_idx: np.ndarray, hi_idx: np.ndarray):
     """Yield (p, D, segments) per prime p of ``ps`` (threshold: the same
-    entry of ``eta``), segments = [(lo, hi)] scaled by D.
+    entry of ``eta``), over its partners r = primes[i], i in [lo_idx,
+    hi_idx) of that entry; segments = [(lo, hi)] scaled by D.
 
     D = p * 2**128 * prod(craw_i); every admissible-alpha interval endpoint
     for the prime p is an exact multiple of 1/D.
     """
     craws = [ci.raw for ci in cfg.c.entries]
-    pc = 1
-    for cr in craws:
-        pc *= cr
+    pc = math.prod(craws)
     cofs = [pc // cr for cr in craws]
     base = pc << FRAC_BITS
-    r_lo, r_hi = _pair_ranges(primes, ps, float(Fraction(a)), float(Fraction(b)))
-    for p, eta_p, i, j in zip(ps.tolist(), eta.tolist(), r_lo.tolist(),
-                              r_hi.tolist()):
+    a_fr, b_fr = Fraction(a), Fraction(b)
+    for p, eta_p, i, j in zip(ps.tolist(), eta.tolist(), lo_idx.tolist(),
+                              hi_idx.tolist()):
         D = p * base
-        aD = _scaled_endpoint(a, D)
-        bD = _scaled_endpoint(b, D)
+        aD = _scaled_endpoint(a_fr, D)
+        bD = _scaled_endpoint(b_fr, D)
         eta_int = int(math.ldexp(eta_p, FRAC_BITS))
         eta_off = eta_int * pc
         segments = []
@@ -346,6 +347,19 @@ def _exact_prime_segments(a, b, cfg: ApproxConfig, ps: np.ndarray,
                     break
             segments.extend(segs)
         yield p, D, segments
+
+
+def _fraction_sum(terms, base: int) -> Fraction:
+    """The sum of n / (p * base) over the (p, n) of ``terms`` as one
+    Fraction, normalised once: neighbouring S1/P1 and S2/P2 merge to
+    (S1 P2 + S2 P1)/(P1 P2), pairwise, so the products stay balanced."""
+    parts = [(n, p) for p, n in terms if n]
+    while len(parts) > 1:
+        merged = [(n1 * p2 + n2 * p1, p1 * p2)
+                  for (n1, p1), (n2, p2) in zip(parts[::2], parts[1::2])]
+        parts = merged + parts[len(merged) * 2:]
+    num, den = parts[0] if parts else (0, 1)
+    return Fraction(num, den * base)
 
 
 def _pair_ranges(primes: np.ndarray, pf: np.ndarray, a: float, b: float):
@@ -431,25 +445,26 @@ def _box_sum(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
     return math.fsum(sums)
 
 
-def _dominance_sums(x: np.ndarray, i: np.ndarray,
-                    v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Offline 2D dominance sums: for every query k, the count and the sum
-    of x_j over j < i[k] with x_j < v[k].
+def _dominance_sums(rank: np.ndarray, i: np.ndarray, t: np.ndarray,
+                    values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Offline 2D dominance sums: for every query k, the count of the j <
+    i[k] with rank[j] < t[k], and the sum of each row of ``values`` (one
+    column per j) over those j.
 
-    [0, i) splits into one aligned block of 2**k positions per set bit k of
-    i, as in a Fenwick tree.  Level k sorts the ranks of x within its
-    blocks, keyed block*n + rank so one searchsorted serves every block,
-    and keeps the running sum of x in that order.  O(n log n) for the
-    levels plus O(log n) searches per query, all vectorized.
+    ``rank`` is a permutation of range(n); a key x_j < v holds for exactly
+    the j with rank[j] < t when the ranks order the keys, ties consecutive,
+    and t counts the keys below v.  [0, i) splits into one aligned block of
+    2**k positions per set bit k of i, as in a Fenwick tree.  Level k sorts
+    the ranks within its blocks, keyed block*n + rank so one searchsorted
+    serves every block, and keeps the running sums of the values in that
+    order.  O(n log n) for the levels plus O(log n) searches per query, all
+    vectorized.
     """
-    n = x.size
-    order = np.argsort(x, kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    sorted_x = x[order]
-    t = np.searchsorted(sorted_x, v, side="left")  # x_j < v iff rank_j < t
+    n = rank.size
+    by_rank = np.empty_like(values)
+    by_rank[:, rank] = values
     count = np.zeros(i.size, dtype=np.int64)
-    total = np.zeros(i.size)
+    total = np.zeros((values.shape[0], i.size), dtype=values.dtype)
     key = np.arange(n, dtype=np.int64) * n + rank
     for k in range(n.bit_length()):
         if k:  # merge sibling blocks: timsort sees two sorted runs each
@@ -457,11 +472,12 @@ def _dominance_sums(x: np.ndarray, i: np.ndarray,
         sel = np.nonzero((i >> k) & 1)[0]
         if not sel.size:
             continue
-        run = np.concatenate(([0.0], np.cumsum(sorted_x[key % n])))
+        run = np.cumsum(by_rank[:, key % n], axis=1)
+        run = np.concatenate((np.zeros_like(run[:, :1]), run), axis=1)
         start = i[sel] >> (k + 1) << (k + 1)
         pos = np.searchsorted(key, (start >> k) * n + t[sel], side="left")
         count[sel] += pos - start
-        total[sel] += run[pos] - run[start]
+        total[:, sel] += run[:, pos] - run[:, start]
     return count, total
 
 
@@ -510,14 +526,111 @@ def _d1_band_sum(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
     ramps = np.where(u <= 0.0, total[:, None] - u * count[:, None], 0.0)
     rows, cols = np.nonzero((u > 0.0) & (u < 1.0))
     v = u[rows, cols]
-    below_n, below_s = _dominance_sums(x, np.concatenate((i1[rows], i0[rows])),
-                                       np.concatenate((v, v)))
+    order = np.argsort(x, kind="stable")
+    rank = np.empty(x.size, dtype=np.int64)
+    rank[order] = np.arange(x.size)
+    t = np.searchsorted(x[order], v, side="left")  # x_j < v iff rank_j < t
+    below_n, below_s = _dominance_sums(
+        rank, np.concatenate((i1[rows], i0[rows])), np.concatenate((t, t)),
+        x[None])
     k = rows.size
     below_n = below_n[:k] - below_n[k:]
-    below_s = below_s[:k] - below_s[k:]
+    below_s = below_s[0, :k] - below_s[0, k:]
     ramps[rows, cols] = (total[rows] - below_s) - v * (count[rows] - below_n)
     inner = ramps @ w / (c * pf)
     return math.fsum(np.append(inner, edge))
+
+
+def _d1_exact_sum(a, b, cfg: ApproxConfig, ps: np.ndarray, eta: np.ndarray,
+                  primes: np.ndarray) -> Fraction:
+    """The exact d=1 integral over p in ps (thresholds eta): the shape of
+    ``_d1_band_sum`` in integer units, interior pairs unvisited.
+
+    With D = p c_raw 2**128, alpha D = X = beta c_raw 2**128 for beta =
+    p alpha, and frac(c beta) < eta, floor(c beta) >= 1 read X mod U < W,
+    X >= U, where U = 2**256, W = e 2**128 and e = floor(eta 2**128).  A
+    pair whose X-interval [r c_raw 2**128, r c_raw 2**128 + E), E = e c_raw,
+    lies in [aD, bD] and above the floor-zero band has the integer term
+    G(y) = F(y + E) - min(y, W), where y = x_r 2**128, x_r = frac(c r) 2**128
+    comes from ``limb_product`` and F(z) = floor(z/U) W + min(z mod U, W).
+    So G is a signed sum of ramps (y - u)_+: u = 0 (weight -1), W (+1)
+    and, per m, m U - E (+1) and m U + W - E (-1).  Interior means
+    r >= a p, r c_raw >= e and r 2**128 + e <= b p 2**128, decided in
+    integers.  y >= u iff x_r >= T = ceil(u / 2**128), so each ramp needs
+    a count and a sum of x_r at and above T over the prime's interior
+    range: the dominance sums of the 128-bit keys, ranked with the
+    thresholds by one lexsort, and sums of the 32-bit limbs of x_r in
+    int64 (below 2**32 pi(bN)).  The boundary pairs [lo, i0) and [i1, hi)
+    go to the segment walk.
+    """
+    if not ps.size:
+        return Fraction(0)
+    c_raw = cfg.c.entries[0].raw
+    a_fr, b_fr = Fraction(a), Fraction(b)
+    lo, hi = _pair_ranges(primes, ps, float(a_fr), float(b_fr))
+    p_list = ps.tolist()
+    e = [int(math.ldexp(v, FRAC_BITS)) for v in eta.tolist()]
+    beyond = int(primes[-1]) + 1  # r_min past every prime: no interior pair
+    r_min = [min(max(-(-a_fr.numerator * p // a_fr.denominator),
+                     -(-ej // c_raw)), beyond) for p, ej in zip(p_list, e)]
+    r_max = [((b_fr.numerator * p << FRAC_BITS) - b_fr.denominator * ej)
+             // (b_fr.denominator << FRAC_BITS) for p, ej in zip(p_list, e)]
+    i0 = np.minimum(np.searchsorted(primes, r_min, side="left"), hi)
+    i1 = np.maximum(np.searchsorted(primes, r_max, side="right"), i0)
+
+    n = int(i1.max())
+    limbs = limb_product(c_raw, primes[:n], 4)
+    x = np.array(limbs, dtype=np.int64)
+    run = np.concatenate((np.zeros((4, 1), np.int64), np.cumsum(x, axis=1)),
+                         axis=1)
+    count = i1 - i0
+    total = run[:, i1] - run[:, i0]
+
+    # the ramps as (weight, m, sigma, tau), u = m U + sigma W - tau E
+    ramps = [(-1, 0, 0, 0), (1, 0, 1, 0)] + [
+        (w, m, s, 1) for m in range((max(e) * c_raw >> 2 * FRAC_BITS) + 2)
+        for w, s in ((1, 0), (-1, 1))]
+    thr = [(m << FRAC_BITS) + s * ej - tau * (ej * c_raw >> FRAC_BITS)
+           for ej in e for _, m, s, tau in ramps]
+    # t counts the x_r below each T: 0 for T <= 0, all for T >= 2**128, and
+    # for the rest their place among the keys, queries first on ties
+    t = np.array([0 if v <= 0 else n for v in thr], dtype=np.int64)
+    inside = [j for j, v in enumerate(thr) if 0 < v < SCALE]
+    q_hi = np.array([thr[j] >> 64 for j in inside], dtype=np.uint64)
+    q_lo = np.array([thr[j] & 0xFFFFFFFFFFFFFFFF for j in inside],
+                    dtype=np.uint64)
+    is_key = np.concatenate((np.ones(n, bool), np.zeros(len(inside), bool)))
+    order = np.lexsort((is_key,
+                        np.concatenate((limbs[1] << 32 | limbs[0], q_lo)),
+                        np.concatenate((limbs[3] << 32 | limbs[2], q_hi))))
+    below = np.empty(is_key.size, dtype=np.int64)
+    below[order] = np.cumsum(is_key[order]) - is_key[order]
+    t[inside] = below[n:]
+
+    k = len(ramps)
+    size = len(p_list) * k
+    below_n, below_s = _dominance_sums(
+        below[:n], np.concatenate((np.repeat(i1, k), np.repeat(i0, k))),
+        np.concatenate((t, t)), x)
+    n_at = count[:, None] - (below_n[:size] - below_n[size:]).reshape(-1, k)
+    s_at = total[:, :, None] - (below_s[:, :size]
+                                - below_s[:, size:]).reshape(4, -1, k)
+    w, m, sigma, tau = (np.array(col, dtype=np.int64) for col in zip(*ramps))
+    # the sum of w (y - u)_+ is 2**128 sum w s_at - sum w u n_at, and sum w u
+    # n_at = U sum w m n_at + W sum w sigma n_at - E sum w tau n_at
+    x_sums = (s_at * w).sum(axis=2).tolist()
+    terms = {}
+    for p, ej, l0, l1, l2, l3, wm, ws, wt in zip(
+            p_list, e, *x_sums, (n_at @ (w * m)).tolist(),
+            (n_at @ (w * sigma)).tolist(), (n_at @ (w * tau)).tolist()):
+        x_sum = l0 + (l1 << 32) + (l2 << 64) + (l3 << 96)
+        terms[p] = (((x_sum - (wm << FRAC_BITS) - ej * ws) << FRAC_BITS)
+                    + ej * c_raw * wt)
+    for p, _, segments in _exact_prime_segments(
+            a, b, cfg, np.tile(ps, 2), np.tile(eta, 2), primes,
+            np.concatenate((lo, i1)), np.concatenate((i0, hi))):
+        terms[p] += sum(h - l for l, h in segments)
+    return _fraction_sum(terms.items(), c_raw << FRAC_BITS)
 
 
 def witness_integral(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
@@ -525,11 +638,14 @@ def witness_integral(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
     """Integral over alpha in [a, b] of the witness count with p <= N.
 
     method='exact' returns the integral as an exact Fraction (integer
-    interval arithmetic); method='fast' returns a float64 evaluation with
-    relative error well below 1e-6; 'auto' switches on N.  The fast path
-    sums every (p, r) pair with ``_box_sum`` for d >= 2; for d = 1,
-    ``_d1_band_sum`` sums the interior pairs without visiting them; every
-    path reads the thresholds of the primes p <= N, taken once.
+    interval arithmetic, normalised once); method='fast' returns a float64
+    evaluation with relative error well below 1e-6; 'auto' switches on N.
+    For d = 1 neither path visits the interior pairs: ``_d1_exact_sum``
+    and ``_d1_band_sum`` sum them by dominance sums, in integers and in
+    float64, and visit only each prime's boundary pairs.  For d >= 2 the
+    exact path walks every (p, r) pair with ``_exact_prime_segments`` and
+    the fast path with ``_box_sum``.  Every path reads the thresholds of
+    the primes p <= N, taken once.
     """
     if method == "auto":
         method = "exact" if N <= EXACT_INTEGRAL_DEFAULT_LIMIT else "fast"
@@ -537,13 +653,15 @@ def witness_integral(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
         raise ContractError(f"unknown method {method!r}")
     ps, eta = _window_primes(a, b, cfg, N, table)
     primes = table.primes
-    if method == "exact":
-        total = Fraction(0)
-        for _, D, segments in _exact_prime_segments(a, b, cfg, ps, eta, primes):
-            if segments:
-                total += Fraction(sum(h - l for l, h in segments), D)
-        return total
     a_f, b_f = float(Fraction(a)), float(Fraction(b))
+    if method == "exact":
+        if cfg.d == 1:
+            return _d1_exact_sum(a, b, cfg, ps, eta, primes)
+        walk = _exact_prime_segments(a, b, cfg, ps, eta, primes,
+                                     *_pair_ranges(primes, ps, a_f, b_f))
+        base = math.prod(ci.raw for ci in cfg.c.entries) << FRAC_BITS
+        return _fraction_sum(((p, sum(h - l for l, h in segments))
+                              for p, _, segments in walk), base)
     pf = ps.astype(np.float64)
     if cfg.d == 1:
         return _d1_band_sum(primes, pf, eta, a_f, b_f, cfg)
@@ -566,8 +684,9 @@ def riemann_scan(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
     a_fr = Fraction(a)
     width = Fraction(b) - a_fr
     hits = intervals = 0
+    ranges = _pair_ranges(table.primes, ps, float(a_fr), float(Fraction(b)))
     for _, D, segments in _exact_prime_segments(a, b, cfg, ps, eta,
-                                                table.primes):
+                                                table.primes, *ranges):
         aD = _scaled_endpoint(a_fr, D)
         # g > (L - aD) * points / (width * D);  g < (H - aD) * points / (...)
         den = width.numerator * D
@@ -694,7 +813,6 @@ def product_set(alpha: FixedReal, cfg: ApproxConfig, N: int,
 
 
 def sieve_side_counts(alpha: FixedReal, sp: SieveSideParams, cfg: ApproxConfig,
-                      table: ArithTable,
                       cap: int = DEFAULT_SIEVE_CAP) -> SieveSideCounts:
     """Exact congruence-window count, its main term, and the error majorant.
 
@@ -791,6 +909,8 @@ def sieve_error_sum(alpha: FixedReal, cfg: ApproxConfig, N: int,
     sum (t1 t2)**eps * (N mu**d / L + e_bound(t1, t2)).
 
     L = Q**3 / mu does not depend on the pair: one cap check serves all.
+    ``table`` is not read; it stays a positional parameter for the callers
+    that pass one.
     """
     mu = cfg.slack_threshold(N)
     qq = float(N) ** cfg.epsilon if Q is None else Q

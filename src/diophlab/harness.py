@@ -487,7 +487,7 @@ def min_dist_integral(a: float, b: float, big_k: float, x: float,
 
 
 def average_error_check(n_grid: list[int], cfg: ApproxConfig,
-                        table: ArithTable, alpha_samples: int = 24,
+                        alpha_samples: int = 24,
                         seed: int = 1) -> list[tuple[int, float, float, float]]:
     """Quadrature of the weighted error functional versus its decay target.
 
@@ -501,7 +501,7 @@ def average_error_check(n_grid: list[int], cfg: ApproxConfig,
     alphas = kronecker_samples(cfg.A, cfg.B, alpha_samples, seed)
     rows = []
     for N in n_grid:
-        vals = [sieve_error_sum(alpha, cfg, N, table) for alpha in alphas]
+        vals = [sieve_error_sum(alpha, cfg, N, None) for alpha in alphas]
         lhs = (cfg.B - cfg.A) * math.fsum(vals) / len(vals)
         target = N * cfg.slack_threshold(N) ** (cfg.d + 1) / math.log(N) ** 2
         rows.append((N, lhs, target, lhs / target))

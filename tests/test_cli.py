@@ -1,3 +1,4 @@
+from diophlab import cli, harness
 from diophlab.cli import dispatch, fmt30
 
 
@@ -105,7 +106,12 @@ class TestChecks:
         out = capsys.readouterr().out
         assert "C_est" in out and "v_min" in out
 
-    def test_sieve_side(self, tmp_path):
+    def test_sieve_side(self, tmp_path, monkeypatch):
+        def no_build(limit):
+            raise AssertionError("sieve-side builds no arithmetic table")
+
+        monkeypatch.setattr(cli, "build_arith_table", no_build)
+        monkeypatch.setattr(harness, "build_arith_table", no_build)
         out = tmp_path / "sieve.csv"
         code = dispatch(["sieve-side", "--c", "phi", "--k", "1", "--eps",
                          "0.1", "--alpha", "sqrt3", "--N", "2000",

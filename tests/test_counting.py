@@ -76,6 +76,19 @@ def reference_d1_band_sum(primes, ps, a, b, cfg, pair_budget=4_000_000):
     return math.fsum(chunks)
 
 
+def reference_exact_walk(a, b, cfg, N, table):
+    """The exact integral over every (p, r) pair of the segment walk, one
+    Fraction added per prime."""
+    primes = table.primes
+    ps = primes[primes <= N]
+    ranges = _pair_ranges(primes, ps, float(a), float(b))
+    total = Fraction(0)
+    for _, D, segments in counting._exact_prime_segments(
+            a, b, cfg, ps, cfg.slack_threshold(ps), primes, *ranges):
+        total += Fraction(sum(h - l for l, h in segments), D)
+    return total
+
+
 def reference_fast_general(primes, ps, a, b, cfg, pair_budget=1 << 14):
     """The d >= 2 fast kernel the streamed one replaced: each dimension
     splits every interval piece over its q candidates, taken from the
@@ -196,6 +209,11 @@ def dyadic_windows(draw):
 
 
 NAMED_SLOPES = st.sampled_from(("phi", "sqrt2", "sqrt3"))
+
+#: Windows in [1, 5/2] whose ends are r/p for primes r, p: 1 = p/p for
+#: every p, 3/2 and 5/2 for p = 2.  Pairs sit on their lower end exactly.
+PRIME_END_WINDOWS = st.sampled_from(((1.0, 1.5), (1.0, 2.5), (1.5, 2.5),
+                                     (1.0, 2.0), (1.5, 2.0)))
 
 
 def dyadic_slopes():
@@ -434,6 +452,72 @@ class TestWitnessIntegral:
         want = reference_d1_band_sum(primes, primes[primes <= N], a, b, cfg)
         assert got == pytest.approx(want, rel=1e-12)
 
+    @settings(max_examples=80)
+    @given(slope=st.one_of(st.sampled_from(D1_SLOPES), dyadic_slopes(),
+                           st.sampled_from((2.0**-128, 2.0**-68))),
+           window=st.one_of(dyadic_windows(), PRIME_END_WINDOWS),
+           N=st.integers(2, 2**11),
+           eps=st.floats(1e-3, 0.2, exclude_max=True))
+    def test_exact_d1_matches_segment_walk(self, table_small, slope, window,
+                                           N, eps):
+        # dyadic slopes put frac(c r) on the breakpoints 0 and 1/2**e, and at
+        # c = 2**-128 and 2**-68 every pair is a boundary pair
+        cfg = ApproxConfig(c=CVector((_slope(slope),), 1.0), epsilon=eps,
+                           A=1.0, B=2.5)
+        a, b = window
+        got = witness_integral(a, b, cfg, N, table_small, method="exact")
+        assert got == reference_exact_walk(a, b, cfg, N, table_small)
+
+    @pytest.mark.parametrize("slope, window", [
+        ("phi", (1.0, 2.0)), ("sqrt2", (1.25, 1.75)), (0.1875, (1.0, 1.5)),
+        (7.25, (1.5, 2.0)), (2.0**-68, (1.0, 2.0))],
+        ids=["phi", "sqrt2", "dyadic", "wrapping", "tiny"])
+    def test_exact_d1_walks_only_boundary_pairs(self, table_small,
+                                                monkeypatch, slope, window):
+        c = _slope(slope)
+        cfg = ApproxConfig(c=CVector((c,), 1.0), epsilon=0.1, A=1.0, B=2.0)
+        a, b = window
+        N = 2**12
+        walk = counting._exact_prime_segments
+        walked = []
+
+        def spy(a, b, cfg, ps, eta, primes, lo_idx, hi_idx):
+            for p, e, i, j in zip(ps.tolist(), eta.tolist(), lo_idx.tolist(),
+                                  hi_idx.tolist()):
+                walked.extend((p, Fraction(e), r)
+                              for r in primes[i:j].tolist())
+            return walk(a, b, cfg, ps, eta, primes, lo_idx, hi_idx)
+
+        monkeypatch.setattr(counting, "_exact_prime_segments", spy)
+        got = witness_integral(a, b, cfg, N, table_small, method="exact")
+        monkeypatch.undo()
+        assert got == reference_exact_walk(a, b, cfg, N, table_small)
+        c_fr, a_fr, b_fr = c.to_fraction(), Fraction(a), Fraction(b)
+        interior = [(p, r) for p, e, r in walked
+                    if r >= a_fr * p and r * c_fr >= e and r + e <= b_fr * p]
+        assert interior == []
+        assert len(set((p, r) for p, _, r in walked)) == len(walked)
+        if slope != 2.0**-68:  # there, every pair is a boundary pair
+            primes = table_small.primes
+            ps = primes[primes <= N]
+            lo, hi = _pair_ranges(primes, ps, a, b)
+            assert len(walked) < 0.05 * int((hi - lo).sum())
+
+    def test_fraction_sum_repeats_a_prime(self):
+        got = counting._fraction_sum([(3, 1), (5, 0), (3, 2), (2, 7)], 4)
+        assert got == Fraction(1, 12) + Fraction(2, 12) + Fraction(7, 8)
+        assert counting._fraction_sum([], 4) == 0
+
+    def test_fast_matches_exact_d1_at_benchmark_sizes(self, golden_cfg,
+                                                      table_small):
+        # b = 3/2 keeps every partner r <= b N + 1 within the table
+        for N in (2**15, 2**16):
+            ex = witness_integral(1.0, 1.5, golden_cfg, N, table_small,
+                                  method="exact")
+            fa = witness_integral(1.0, 1.5, golden_cfg, N, table_small,
+                                  method="fast")
+            assert fa == pytest.approx(float(ex), rel=1e-9)
+
     def test_fast_d1_tiny_n(self, golden_cfg, table_small):
         for N in (0, 1):
             assert witness_integral(1.0, 2.0, golden_cfg, N, table_small,
@@ -531,6 +615,27 @@ class TestWitnessIntegral:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    @settings(max_examples=60)
+    @given(keys=st.lists(st.integers(0, 5), max_size=40),
+           queries=st.lists(st.tuples(st.integers(0, 40), st.integers(-1, 6)),
+                            min_size=1, max_size=20))
+    def test_dominance_sums_match_brute_force(self, keys, queries):
+        # integer keys with ties; thresholds below, on and above the keys
+        x = np.array(keys, dtype=np.int64)
+        n = x.size
+        values = np.stack((x * 7 + 1, np.arange(n, dtype=np.int64) ** 2))
+        i = np.array([min(q, n) for q, _ in queries], dtype=np.int64)
+        v = np.array([w for _, w in queries], dtype=np.int64)
+        order = np.argsort(x, kind="stable")
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        t = np.searchsorted(x[order], v, side="left")
+        count, sums = counting._dominance_sums(rank, i, t, values)
+        for k, (ik, vk) in enumerate(zip(i.tolist(), v.tolist())):
+            hit = [j for j in range(ik) if keys[j] < vk]
+            assert count[k] == len(hit)
+            assert sums[:, k].tolist() == values[:, hit].sum(axis=1).tolist()
 
     def test_pair_chunks_cover_every_pair_once(self, golden_cfg, table_small):
         primes = table_small.primes
@@ -762,16 +867,16 @@ class TestProductSet:
 
 
 class TestSieveSide:
-    def test_trivial_when_mu_large(self, golden_cfg, table_small):
+    def test_trivial_when_mu_large(self, golden_cfg):
         sp = SieveSideParams(N=100, mu_target=1.0, Q=10.0, L=1.0, t1=1, t2=1)
-        res = sieve_side_counts(constant("sqrt3"), sp, golden_cfg, table_small)
+        res = sieve_side_counts(constant("sqrt3"), sp, golden_cfg)
         assert res.s_exact == 100
         assert res.main_term == pytest.approx(100.0)
 
-    def test_matches_naive_loop(self, golden_cfg, table_small):
+    def test_matches_naive_loop(self, golden_cfg):
         alpha = constant("sqrt3")
         sp = SieveSideParams.from_config(golden_cfg, 10**4, 2, 3, Q=6.0)
-        res = sieve_side_counts(alpha, sp, golden_cfg, table_small)
+        res = sieve_side_counts(alpha, sp, golden_cfg)
         mu = sp.mu_target
         af = alpha.to_fraction()
         cf = golden_cfg.c.entries[0].to_fraction()
@@ -783,8 +888,7 @@ class TestSieveSide:
         assert res.s_exact == naive
 
     @pytest.mark.parametrize("cfg_name", ["golden_cfg", "two_dim_cfg"])
-    def test_every_pair_matches_fraction_oracle(self, cfg_name, request,
-                                                table_small):
+    def test_every_pair_matches_fraction_oracle(self, cfg_name, request):
         # s_exact for every pair of congruence_pairs(6), against exact
         # rational tests; L = 1 keeps the error box small
         cfg = request.getfixturevalue(cfg_name)
@@ -804,7 +908,7 @@ class TestSieveSide:
                         want = sum(1 for n in range(1, N // t1 + 1)
                                    if slopes_ok[n * t1]
                                    and (n * t1 * af / t2) % 1 < mu_fr / t2)
-                        res = sieve_side_counts(alpha, sp, cfg, table_small)
+                        res = sieve_side_counts(alpha, sp, cfg)
                         assert res.s_exact == want, (N, mu, t1, t2)
 
     @pytest.mark.parametrize("call", [
@@ -826,27 +930,27 @@ class TestSieveSide:
         with pytest.raises(ContractError):
             SieveSideParams(N=100, mu_target=0.5, Q=10.0, L=1.0, t1=t1, t2=t2)
 
-    def test_error_bound_inequality(self, golden_cfg, table_small):
+    def test_error_bound_inequality(self, golden_cfg):
         alpha = constant("sqrt3")
         for (t1, t2) in [(1, 1), (1, 2), (2, 1), (2, 3)]:
             sp = SieveSideParams.from_config(golden_cfg, 4000, t1, t2, Q=8.0)
-            res = sieve_side_counts(alpha, sp, golden_cfg, table_small)
+            res = sieve_side_counts(alpha, sp, golden_cfg)
             slack = sp.N * sp.mu_target ** golden_cfg.d / sp.L
             assert abs(res.s_exact - res.main_term) <= res.e_bound + slack
 
-    def test_asymmetry_permitted(self, golden_cfg, table_small):
+    def test_asymmetry_permitted(self, golden_cfg):
         alpha = constant("sqrt3")
         s12 = sieve_side_counts(alpha, SieveSideParams.from_config(
-            golden_cfg, 10**4, 2, 3, Q=6.0), golden_cfg, table_small)
+            golden_cfg, 10**4, 2, 3, Q=6.0), golden_cfg)
         s21 = sieve_side_counts(alpha, SieveSideParams.from_config(
-            golden_cfg, 10**4, 3, 2, Q=6.0), golden_cfg, table_small)
+            golden_cfg, 10**4, 3, 2, Q=6.0), golden_cfg)
         assert s12.s_exact != s21.s_exact  # congruence roles differ
 
-    def test_raw_below_majorant(self, golden_cfg, table_small):
+    def test_raw_below_majorant(self, golden_cfg):
         alpha = constant("sqrt3")
         sp = SieveSideParams.from_config(golden_cfg, 500, 1, 2, Q=2.0)
         raw = sieve_side_error_raw(alpha, sp, golden_cfg)
-        res = sieve_side_counts(alpha, sp, golden_cfg, table_small)
+        res = sieve_side_counts(alpha, sp, golden_cfg)
         assert raw <= res.e_bound * (1 + 1e-9)
 
     @settings(max_examples=40)
@@ -879,7 +983,7 @@ class TestSieveSide:
         ("golden_cfg", "sqrt3"), ("golden_cfg", "sqrt2"),
         ("two_dim_cfg", "phi")])
     def test_raw_below_majorant_at_benchmark_scale(self, cfg_name, alpha_name,
-                                                   request, table_small):
+                                                   request):
         cfg = request.getfixturevalue(cfg_name)
         alpha = constant(alpha_name)
         N = 2**18
@@ -889,7 +993,7 @@ class TestSieveSide:
         for t1, t2 in pairs:
             sp = SieveSideParams.from_config(cfg, N, t1, t2, Q=qq)
             raw = sieve_side_error_raw(alpha, sp, cfg)
-            res = sieve_side_counts(alpha, sp, cfg, table_small)
+            res = sieve_side_counts(alpha, sp, cfg)
             assert 0.0 < raw <= res.e_bound * (1 + 1e-9), (t1, t2)
 
     def test_error_sum_trivialities(self, golden_cfg, table_small):
@@ -903,7 +1007,7 @@ class TestSieveSide:
 
     @pytest.mark.parametrize("dims", [2, 3, 4])
     @pytest.mark.parametrize("l_int", [0, 1, 2, 3])
-    def test_half_box_grid_is_half_box(self, dims, l_int, table_small):
+    def test_half_box_grid_is_half_box(self, dims, l_int):
         # the grid the majorant builds from its axes is the half box: its
         # e_bound equals the same sum over the rows of fixedreal.half_box,
         # bit for bit at d = 1, where each phase is one product and one sum
@@ -921,7 +1025,7 @@ class TestSieveSide:
         with np.errstate(divide="ignore"):
             terms = np.minimum(100.0, 1.0 / np.abs(val - np.round(val)))
         want = 0.5 ** dims / 3 * 2.0 * np.sum(terms)
-        got = sieve_side_counts(alpha, sp, cfg, table_small).e_bound
+        got = sieve_side_counts(alpha, sp, cfg).e_bound
         assert got == want if dims == 2 else got == pytest.approx(want, rel=1e-12)
 
     def test_box_cap_checked_before_any_work(self, golden_cfg, table_small,
@@ -932,7 +1036,7 @@ class TestSieveSide:
         q = 1.2  # floor(q**3 / 100**-0.1) = 2
         assert SieveSideParams.from_config(golden_cfg, 100, Q=q).L // 1 == 2
         sieve_error_sum(alpha, golden_cfg, 100, table_small, Q=q, cap=25)
-        sieve_side_counts(alpha, sp, golden_cfg, table_small, cap=25)
+        sieve_side_counts(alpha, sp, golden_cfg, cap=25)
         sieve_side_error_raw(alpha, sp, golden_cfg, cap=25)
 
         def no_scan(*args):
@@ -942,7 +1046,7 @@ class TestSieveSide:
         for call in (
                 lambda: sieve_error_sum(alpha, golden_cfg, 100, table_small,
                                         Q=q, cap=24),
-                lambda: sieve_side_counts(alpha, sp, golden_cfg, table_small,
+                lambda: sieve_side_counts(alpha, sp, golden_cfg,
                                           cap=24),
                 lambda: sieve_side_error_raw(alpha, sp, golden_cfg, cap=24)):
             with pytest.raises(ResourceCapError, match="box of 25 points"):
@@ -962,7 +1066,7 @@ class TestSieveSide:
                 qq = float(N) ** cfg.epsilon if q is None else q
                 for t1, t2 in congruence_pairs(qq):
                     sp = SieveSideParams.from_config(cfg, N, t1, t2, Q=qq)
-                    res = sieve_side_counts(alpha, sp, cfg, table_small)
+                    res = sieve_side_counts(alpha, sp, cfg)
                     assert res.e_bound == pytest.approx(
                         reference_majorant(alpha, sp, cfg), rel=1e-12, abs=0.0)
                     # the reference costs box * N/t1 Python steps
@@ -978,8 +1082,10 @@ class TestIntervalStructure:
         from diophlab.counting import _exact_prime_segments, _window_primes
 
         ps, eta = _window_primes(1.0, 2.0, golden_cfg, 500, table_small)
-        for p, _, segments in _exact_prime_segments(1.0, 2.0, golden_cfg, ps,
-                                                    eta, table_small.primes):
+        primes = table_small.primes
+        for p, _, segments in _exact_prime_segments(
+                1.0, 2.0, golden_cfg, ps, eta, primes,
+                *_pair_ranges(primes, ps, 1.0, 2.0)):
             ordered = sorted(segments)
             for (l1, h1), (l2, h2) in zip(ordered, ordered[1:]):
                 assert h1 <= l2  # disjoint: sum of lengths = measure of union

@@ -8,9 +8,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-# demo_metric_harness is left out: it takes about 6 s
 @pytest.mark.parametrize("name", [
-    "demo_bound_audit", "demo_rational_approximation",
+    "demo_bound_audit", "demo_metric_harness", "demo_rational_approximation",
     "demo_sawtooth_and_identity", "demo_witness_search"])
 def test_demo_runs(name, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

@@ -86,8 +86,7 @@ class TestGridChecks:
             grid, cfg, 10, 3, table=table),
         "limsup": lambda grid, cfg, table: limsup_track(
             constant("sqrt3"), cfg, grid, table=table),
-        "average": lambda grid, cfg, table: average_error_check(
-            grid, cfg, table),
+        "average": lambda grid, cfg, table: average_error_check(grid, cfg),
     }
 
     @pytest.mark.parametrize("check", sorted(CHECKS))
@@ -100,15 +99,14 @@ class TestGridChecks:
                 self.CHECKS[check](grid, golden_cfg, table)
 
     @pytest.mark.parametrize("grid", [[1], [0, 1000], [-3, 1000]])
-    def test_average_error_needs_n_at_least_2(self, golden_cfg, table_small,
-                                              grid, monkeypatch):
+    def test_average_error_needs_n_at_least_2(self, golden_cfg, grid,
+                                              monkeypatch):
         def no_build(limit):
-            raise AssertionError("table built before the grid check")
+            raise AssertionError("the average error check builds no table")
 
         monkeypatch.setattr(harness, "build_arith_table", no_build)
-        for table in (None, table_small):
-            with pytest.raises(ContractError, match="must be at least 2"):
-                average_error_check(grid, golden_cfg, table)
+        with pytest.raises(ContractError, match="must be at least 2"):
+            average_error_check(grid, golden_cfg)
 
 
 class TestUpperBound:
@@ -448,8 +446,12 @@ class TestMinDistIntegral:
 
 
 class TestAverageError:
-    def test_nonnegative_and_pinned_trend(self, golden_cfg, table_small):
-        rows = average_error_check([10**3, 10**4], golden_cfg, table_small,
+    def test_nonnegative_and_pinned_trend(self, golden_cfg, monkeypatch):
+        def no_build(limit):
+            raise AssertionError("the average error check builds no table")
+
+        monkeypatch.setattr(harness, "build_arith_table", no_build)
+        rows = average_error_check([10**3, 10**4], golden_cfg,
                                    alpha_samples=16)
         assert all(lhs >= 0 for _, lhs, _, _ in rows)
         # Artifact-derived regression: with the majorant error path the
