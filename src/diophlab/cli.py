@@ -86,6 +86,7 @@ _RUN_KEYS = ("alpha", "N", "Ngrid", "P", "Pgrid", "Q", "samples", "seed",
 
 def _load_config_file(path: str) -> dict:
     parser = configparser.ConfigParser()
+    parser.optionxform = str  # keys are case-sensitive: N, A, Ngrid, ...
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
@@ -107,19 +108,35 @@ def _merged(args: argparse.Namespace) -> dict:
     return values
 
 
-def _instance(values: dict) -> ApproxConfig:
+_REQUIRED = object()
+
+
+def _get(values: dict, key: str, convert, default=None):
+    """``convert`` of the flag or config-file value of ``key``, or
+    ``default`` when it is absent or blank (an error if ``_REQUIRED``).  The
+    one place values are converted: one that ``convert`` rejects raises
+    ConfigError naming the key."""
+    text = values.get(key)
+    if text is None or not str(text).strip():
+        if default is _REQUIRED:
+            raise ConfigError(f"missing key {key!r}")
+        return default
     try:
-        c_text = values["c"]
-        k = float(values["k"])
-        eps = float(values["eps"])
-    except KeyError as missing:
-        raise ConfigError(f"missing instance key {missing}") from None
-    a_lo = float(values.get("A", 1.0))
-    b_hi = float(values.get("B", 2.0))
-    cvec = CVector.parse(c_text, k)
-    if "d" in values and int(values["d"]) != cvec.d:
+        return convert(str(text))
+    except (ArithmeticError, ValueError) as err:
+        raise ConfigError(f"bad value {key}={text!r}: {err}") from None
+
+
+def _instance(values: dict) -> ApproxConfig:
+    k = _get(values, "k", float, _REQUIRED)
+    eps = _get(values, "eps", float, _REQUIRED)
+    a_lo = _get(values, "A", float, 1.0)
+    b_hi = _get(values, "B", float, 2.0)
+    cvec = _get(values, "c", lambda text: CVector.parse(text, k), _REQUIRED)
+    d = _get(values, "d", int)
+    if d is not None and d != cvec.d:
         raise ConfigError(
-            f"declared d={values['d']} but c has {cvec.d} components"
+            f"declared d={d} but c has {cvec.d} components"
         )
     try:
         return ApproxConfig(c=cvec, epsilon=eps, A=a_lo, B=b_hi)
@@ -133,8 +150,7 @@ def _int_list(text) -> list[int]:
 
 
 def _n_grid(values: dict) -> list[int]:
-    text = values.get("Ngrid")
-    return _int_list(text) if text else [2 ** e for e in range(10, 21)]
+    return _get(values, "Ngrid", _int_list, [2 ** e for e in range(10, 21)])
 
 
 # ----------------------------------------------------------------------
@@ -143,8 +159,8 @@ def _n_grid(values: dict) -> list[int]:
 
 def _cmd_search(values: dict) -> int:
     cfg = _instance(values)
-    alpha = parse_real(str(values.get("alpha", "sqrt3")))
-    n_max = int(values.get("N", 100000))
+    alpha = _get(values, "alpha", parse_real, parse_real("sqrt3"))
+    n_max = _get(values, "N", int, 100000)
     out = str(values.get("out", "tuples.csv"))
     table = build_arith_table(int(math.ceil(alpha.to_float() * n_max)) + 2)
     count, tuples = count_witnesses(alpha, cfg, n_max, table)
@@ -162,8 +178,8 @@ def _cmd_search(values: dict) -> int:
 def _cmd_integrate(values: dict) -> int:
     cfg = _instance(values)
     grid = _n_grid(values)
-    a = float(values.get("a", cfg.A))
-    b = float(values.get("b", cfg.B))
+    a = _get(values, "a", float, cfg.A)
+    b = _get(values, "b", float, cfg.B)
     out = str(values.get("out", "integrate.csv"))
     report = lower_bound_check(a, b, grid, cfg)
     header = ["N", "a", "b", "integral_exact", "target_main", "target_alt",
@@ -181,8 +197,8 @@ def _cmd_integrate(values: dict) -> int:
 def _cmd_upper(values: dict) -> int:
     cfg = _instance(values)
     grid = _n_grid(values)
-    samples = int(values.get("samples", 12))
-    seed = int(values.get("seed", 7))
+    samples = _get(values, "samples", int, 12)
+    seed = _get(values, "seed", int, 7)
     out = str(values.get("out", "upper.csv"))
     report = upper_bound_check(grid, cfg, samples, seed)
     header = ["N", "v_n", "target_main", "vn_over_target", "k_estimate"]
@@ -194,13 +210,13 @@ def _cmd_upper(values: dict) -> int:
 
 def _cmd_audit(values: dict) -> int:
     cfg = _instance(values)
-    p_list = (_int_list(values["Pgrid"]) if values.get("Pgrid")
-              else [int(values.get("P", 2 ** 13))])
+    p_list = (_get(values, "Pgrid", _int_list)
+              or [_get(values, "P", int, 2 ** 13)])
     out = str(values.get("out", "audit.csv"))
+    degree = _get(values, "J", int)
+    split = _get(values, "u", float)
     table = build_arith_table(int(math.ceil(cfg.B * max(p_list))) + 2)
     header = ["label", "P", "exact", "bound", "ratio", "J", "u"]
-    degree = int(values["J"]) if values.get("J") else None
-    split = float(values["u"]) if values.get("u") else None
     per_p = map_ordered(
         lambda P: bound_audit(P, cfg, table, degree=degree, u=split), p_list)
     rows = []
@@ -218,10 +234,12 @@ def _cmd_audit(values: dict) -> int:
 
 def _cmd_sieve_side(values: dict) -> int:
     cfg = _instance(values)
-    alpha = parse_real(str(values.get("alpha", "sqrt3")))
-    n_val = int(values.get("N", 10000))
+    alpha = _get(values, "alpha", parse_real, parse_real("sqrt3"))
+    n_val = _get(values, "N", int, 10000)
     out = str(values.get("out", "sieve.csv"))
-    q_cap = float(values["Q"]) if values.get("Q") else float(n_val) ** cfg.epsilon
+    q_cap = _get(values, "Q", float, float(n_val) ** cfg.epsilon)
+    samples = max(8, _get(values, "samples", int, 8))
+    seed = _get(values, "seed", int, 1)
     header = ["N", "t1", "t2", "S_exact", "main_term", "E_bound"]
     rows = []
     for t1, t2 in congruence_pairs(q_cap):
@@ -230,9 +248,7 @@ def _cmd_sieve_side(values: dict) -> int:
         rows.append([n_val, t1, t2, res.s_exact, res.main_term, res.e_bound])
     write_csv(out, header, rows, values)
     grid = [n_val // 10, n_val] if n_val >= 100 else [n_val]
-    avg = average_error_check(grid, cfg,
-                              alpha_samples=max(8, int(values.get("samples", 8))),
-                              seed=int(values.get("seed", 1)))
+    avg = average_error_check(grid, cfg, alpha_samples=samples, seed=seed)
     for N, lhs, target, ratio in avg:
         print(f"avg-error N={N}: lhs={lhs:.6g} target={target:.6g} "
               f"ratio={ratio:.6g}")
@@ -241,7 +257,9 @@ def _cmd_sieve_side(values: dict) -> int:
 
 
 def _cmd_vaaler_check(values: dict) -> int:
-    grid_points = int(values.get("points", 10000))
+    grid_points = _get(values, "points", int, 10000)
+    if grid_points < 1:
+        raise ConfigError(f"points={grid_points} must be at least 1")
     xs = (np.arange(grid_points) + 0.5) / grid_points
     ok = True
     for degree in (1, 5, 10, 50):
@@ -259,7 +277,7 @@ def _cmd_vaaler_check(values: dict) -> int:
 
 
 def _cmd_vaughan_check(values: dict) -> int:
-    n_max = int(values.get("N", 10000))
+    n_max = _get(values, "N", int, 10000)
     table = build_arith_table(max(100000, n_max))
     ok = True
     for uv in (5.0, 10.0, 31.0):
@@ -284,13 +302,9 @@ def _cmd_vaughan_check(values: dict) -> int:
 
 
 def _cmd_dioph_certify(values: dict) -> int:
-    try:
-        c_text = values["c"]
-        k = float(values["k"])
-    except KeyError as missing:
-        raise ConfigError(f"missing key {missing}") from None
-    n_bound = int(values.get("Nbound", 50))
-    cvec = CVector.parse(str(c_text), k)
+    k = _get(values, "k", float, _REQUIRED)
+    n_bound = _get(values, "Nbound", int, 50)
+    cvec = _get(values, "c", lambda text: CVector.parse(text, k), _REQUIRED)
     cert = dioph_certify(cvec, n_bound)
     print(f"C_est (finite-range certificate, max|v| <= {n_bound}): "
           f"{cert.c_est:.12g}")

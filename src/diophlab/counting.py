@@ -445,39 +445,83 @@ def _box_sum(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
     return math.fsum(sums)
 
 
-def _dominance_sums(rank: np.ndarray, i: np.ndarray, t: np.ndarray,
-                    values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Offline 2D dominance sums: for every query k, the count of the j <
-    i[k] with rank[j] < t[k], and the sum of each row of ``values`` (one
-    column per j) over those j.
+def _boundary_ranges(ps: np.ndarray, eta: np.ndarray, lo: np.ndarray,
+                     i0: np.ndarray, i1: np.ndarray, hi: np.ndarray):
+    """The nonempty ranges [lo, i0) and [i1, hi) of the primes ps, lower
+    ones first, as the (ps, eta, lo_idx, hi_idx) of a pair walk."""
+    start, stop = np.concatenate((lo, i1)), np.concatenate((i0, hi))
+    keep = np.nonzero(start < stop)[0]
+    return ps[keep % ps.size], eta[keep % ps.size], start[keep], stop[keep]
 
-    ``rank`` is a permutation of range(n); a key x_j < v holds for exactly
-    the j with rank[j] < t when the ranks order the keys, ties consecutive,
-    and t counts the keys below v.  [0, i) splits into one aligned block of
-    2**k positions per set bit k of i, as in a Fenwick tree.  Level k sorts
-    the ranks within its blocks, keyed block*n + rank so one searchsorted
-    serves every block, and keeps the running sums of the values in that
-    order.  O(n log n) for the levels plus O(log n) searches per query, all
-    vectorized.
+
+def _d1_ramps(m_count: int):
+    """The d = 1 pair term as ramps w (x - u)_+, u = m + sigma*eta -
+    tau*c*eta: int64 rows w, m, sigma, tau, one column per ramp.
+
+    For beta = p*alpha in [s, t), the measure of {frac(c beta) < eta,
+    floor(c beta) >= 1} is (F(c t) - F(c s))/c minus the floor-zero band,
+    where F(w) = floor(w)*eta + min(frac(w), eta).  An interior pair (r >=
+    a p, r c >= eta, r + eta <= b p) has the term g(x_r)/(c p), with x_r =
+    frac(c r) and g(x) = F(x + c eta) - min(x, eta); on [0, 1) that is
+    -x + (x - eta)_+ + sum_m [(x - m + c eta)_+ - (x - m - eta + c eta)_+].
+    Ramps with u >= 1 vanish there, so any m_count > 1 + c eta will do.
+    Columns: u = 0, eta, every m - c eta, then every m + eta - c eta.  Over
+    a range of r, w (x - u)_+ sums to w (S - u n), with n the count and S
+    the sum of the x_r >= u: one dominance query per ramp.
+    """
+    ms = range(m_count)
+    return np.array([(-1, 0, 0, 0), (1, 0, 1, 0)] + [(1, m, 0, 1) for m in ms]
+                    + [(-1, m, 1, 1) for m in ms], dtype=np.int64).T
+
+
+def _dominance_sums(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                    t: np.ndarray, values: np.ndarray):
+    """Offline 2D dominance sums over index ranges: for range g and
+    threshold column q, the count of the j in [lo[g], hi[g]) with rank[j] >=
+    t[g, q], and the sum of each row of ``values`` (one column per j) over
+    those j; shapes t.shape and (rows,) + t.shape.
+
+    ``rank`` is a permutation of range(n); a key x_j >= v holds for exactly
+    the j with rank[j] >= t when the ranks order the keys, ties consecutive,
+    and t counts the keys below v.  t <= 0 takes the whole range and t >= n
+    none of it, from index-order prefix sums.  For 0 < t < n the j below t
+    in [0, hi) less those in [0, lo) are taken off: [0, i) splits into one
+    aligned block of 2**k positions per set bit k of i, as in a Fenwick
+    tree.  Level k sorts the ranks within its blocks, keyed block*n + rank
+    so one searchsorted serves every block, and keeps the running sums of
+    the values in that order.  O(n log n) plus O(log n) per query.
     """
     n = rank.size
+    prefix = np.zeros((values.shape[0], n + 1), values.dtype)
+    np.cumsum(values, axis=1, out=prefix[:, 1:])
+    span, span_s = hi - lo, prefix[:, hi] - prefix[:, lo]
+    whole = t <= 0
+    count = np.where(whole, span[:, None], 0)
+    total = np.where(whole, span_s[:, :, None], 0)
+    g, q = np.nonzero(~whole & (t < n))
+    k = g.size
+    if not k:
+        return count, total
+    i, v = np.concatenate((hi[g], lo[g])), np.tile(t[g, q], 2)
+    below_n = np.zeros(2 * k, dtype=np.int64)
+    below_s = np.zeros((values.shape[0], 2 * k), dtype=values.dtype)
     by_rank = np.empty_like(values)
     by_rank[:, rank] = values
-    count = np.zeros(i.size, dtype=np.int64)
-    total = np.zeros((values.shape[0], i.size), dtype=values.dtype)
     key = np.arange(n, dtype=np.int64) * n + rank
-    for k in range(n.bit_length()):
-        if k:  # merge sibling blocks: timsort sees two sorted runs each
+    run = np.zeros_like(prefix)
+    for level in range(n.bit_length()):
+        if level:  # merge sibling blocks: timsort sees two sorted runs each
             key = np.sort((key // n >> 1) * n + key % n, kind="stable")
-        sel = np.nonzero((i >> k) & 1)[0]
+        sel = np.nonzero((i >> level) & 1)[0]
         if not sel.size:
             continue
-        run = np.cumsum(by_rank[:, key % n], axis=1)
-        run = np.concatenate((np.zeros_like(run[:, :1]), run), axis=1)
-        start = i[sel] >> (k + 1) << (k + 1)
-        pos = np.searchsorted(key, (start >> k) * n + t[sel], side="left")
-        count[sel] += pos - start
-        total[:, sel] += run[:, pos] - run[:, start]
+        np.cumsum(by_rank[:, key % n], axis=1, out=run[:, 1:])
+        start = i[sel] >> (level + 1) << (level + 1)
+        pos = np.searchsorted(key, (start >> level) * n + v[sel], side="left")
+        below_n[sel] += pos - start
+        below_s[:, sel] += run[:, pos] - run[:, start]
+    count[g, q] = span[g] - (below_n[:k] - below_n[k:])
+    total[:, g, q] = span_s[:, g] - (below_s[:, :k] - below_s[:, k:])
     return count, total
 
 
@@ -485,17 +529,9 @@ def _d1_band_sum(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
                  a: float, b: float, cfg: ApproxConfig) -> float:
     """The d=1 integral over p in pf (thresholds eta), interior pairs unvisited.
 
-    For beta = p*alpha in [s, t), the measure of {frac(c beta) < eta,
-    floor(c beta) >= 1} is (F(c t) - F(c s))/c minus the floor-zero band,
-    where F(w) = floor(w)*eta + min(frac(w), eta).  An interior pair
-    (r >= a p, r >= eta/c, r + eta <= b p) has the term g_p(x_r)/(c p),
-    with x_r = frac(c r) taken exactly from the fixed-point slope and
-    g_p(x) = F(x + c eta) - min(x, eta).  On [0, 1) that is a signed sum
-    of ramps (x - u)_+ at u = 0, eta, m - c eta and m + eta - c eta, so
-    the sum over a prime's contiguous interior range of r reduces to a
-    count and a sum of x_r above each u, answered for all primes at once
-    by dominance sums in O(pi(bN) log pi(bN)).  The few boundary pairs
-    per p, [lo, i0) and [i1, hi), go to the streamed box kernel.
+    Each prime's interior pairs add sum_r g(x_r)/(c p), the ramps of
+    ``_d1_ramps`` summed for all primes by ``_dominance_sums`` in float64
+    over the keys x_r = frac(c r); the boundary pairs go to ``_box_sum``.
     Per-term absolute error is ~|endpoint|*2**-52.
     """
     if not pf.size:
@@ -507,37 +543,22 @@ def _d1_band_sum(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
     i0 = np.minimum(np.searchsorted(primes, np.maximum(a * pf, eta / c),
                                     side="left"), hi)
     i1 = np.maximum(np.searchsorted(primes, b * pf - eta, side="right"), i0)
-
-    edge = _box_sum(primes, np.tile(pf, 2), np.tile(eta, 2),
-                    np.concatenate((lo, i1)), np.concatenate((i0, hi)), a, b,
+    edge = _box_sum(primes, *_boundary_ranges(pf, eta, lo, i0, i1, hi), a, b,
                     cfg)
 
-    x = frac_multiples(c_fixed, primes[:int(i1.max())])
-    run = np.concatenate(([0.0], np.cumsum(x)))
-    count = (i1 - i0).astype(np.float64)
-    total = run[i1] - run[i0]
-    # g_p(x) = sum_m [(x - m + c eta)_+ - (x - m - eta + c eta)_+] - x + (x - eta)_+
-    m = np.arange(int(math.ceil(c * eta.max())) + 2, dtype=np.float64)
-    ceta = (c * eta)[:, None]
-    u = np.concatenate((np.zeros_like(ceta), eta[:, None], m - ceta,
-                        m + eta[:, None] - ceta), axis=1)
-    w = np.concatenate(([-1.0, 1.0], np.ones(m.size), -np.ones(m.size)))
-    # sum of (x - u)_+ over the range: S - u n for u <= 0, zero for u >= 1
-    ramps = np.where(u <= 0.0, total[:, None] - u * count[:, None], 0.0)
-    rows, cols = np.nonzero((u > 0.0) & (u < 1.0))
-    v = u[rows, cols]
+    n = int(i1.max())
+    x = frac_multiples(c_fixed, primes[:n])
+    w, m, sigma, tau = _d1_ramps(int(math.ceil(c * eta.max())) + 2)
+    u = m + sigma * eta[:, None] - tau * (c * eta)[:, None]
     order = np.argsort(x, kind="stable")
-    rank = np.empty(x.size, dtype=np.int64)
-    rank[order] = np.arange(x.size)
-    t = np.searchsorted(x[order], v, side="left")  # x_j < v iff rank_j < t
-    below_n, below_s = _dominance_sums(
-        rank, np.concatenate((i1[rows], i0[rows])), np.concatenate((t, t)),
-        x[None])
-    k = rows.size
-    below_n = below_n[:k] - below_n[k:]
-    below_s = below_s[0, :k] - below_s[0, k:]
-    ramps[rows, cols] = (total[rows] - below_s) - v * (count[rows] - below_n)
-    inner = ramps @ w / (c * pf)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    # x_j >= u iff rank_j >= t: every x_j for u <= 0, none for u >= 1
+    t = np.where(u <= 0.0, 0, n)
+    inside = (u > 0.0) & (u < 1.0)
+    t[inside] = np.searchsorted(x[order], u[inside], side="left")
+    n_at, s_at = _dominance_sums(rank, i0, i1, t, x[None])
+    inner = (s_at[0] - u * n_at) @ w / (c * pf)
     return math.fsum(np.append(inner, edge))
 
 
@@ -548,20 +569,14 @@ def _d1_exact_sum(a, b, cfg: ApproxConfig, ps: np.ndarray, eta: np.ndarray,
 
     With D = p c_raw 2**128, alpha D = X = beta c_raw 2**128 for beta =
     p alpha, and frac(c beta) < eta, floor(c beta) >= 1 read X mod U < W,
-    X >= U, where U = 2**256, W = e 2**128 and e = floor(eta 2**128).  A
-    pair whose X-interval [r c_raw 2**128, r c_raw 2**128 + E), E = e c_raw,
-    lies in [aD, bD] and above the floor-zero band has the integer term
-    G(y) = F(y + E) - min(y, W), where y = x_r 2**128, x_r = frac(c r) 2**128
-    comes from ``limb_product`` and F(z) = floor(z/U) W + min(z mod U, W).
-    So G is a signed sum of ramps (y - u)_+: u = 0 (weight -1), W (+1)
-    and, per m, m U - E (+1) and m U + W - E (-1).  Interior means
-    r >= a p, r c_raw >= e and r 2**128 + e <= b p 2**128, decided in
-    integers.  y >= u iff x_r >= T = ceil(u / 2**128), so each ramp needs
-    a count and a sum of x_r at and above T over the prime's interior
-    range: the dominance sums of the 128-bit keys, ranked with the
-    thresholds by one lexsort, and sums of the 32-bit limbs of x_r in
-    int64 (below 2**32 pi(bN)).  The boundary pairs [lo, i0) and [i1, hi)
-    go to the segment walk.
+    X >= U, where U = 2**256, W = e 2**128 and e = floor(eta 2**128): the
+    ramp u = m + sigma eta - tau c eta of ``_d1_ramps`` sits at m U + sigma
+    W - tau E, E = e c_raw, over y = x_r 2**128, x_r = frac(c r) 2**128 from
+    ``limb_product``.  Interior means r >= a p, r c_raw >= e and r 2**128 +
+    e <= b p 2**128, decided in integers.  y >= u iff x_r >= T = ceil(u /
+    2**128): the keys and the thresholds 0 < T < 2**128 are ranked by one
+    lexsort, and the dominance sums run on the 32-bit limbs of x_r in int64
+    (below 2**32 pi(bN)).  The boundary pairs go to the segment walk.
     """
     if not ps.size:
         return Fraction(0)
@@ -580,55 +595,38 @@ def _d1_exact_sum(a, b, cfg: ApproxConfig, ps: np.ndarray, eta: np.ndarray,
 
     n = int(i1.max())
     limbs = limb_product(c_raw, primes[:n], 4)
-    x = np.array(limbs, dtype=np.int64)
-    run = np.concatenate((np.zeros((4, 1), np.int64), np.cumsum(x, axis=1)),
-                         axis=1)
-    count = i1 - i0
-    total = run[:, i1] - run[:, i0]
-
-    # the ramps as (weight, m, sigma, tau), u = m U + sigma W - tau E
-    ramps = [(-1, 0, 0, 0), (1, 0, 1, 0)] + [
-        (w, m, s, 1) for m in range((max(e) * c_raw >> 2 * FRAC_BITS) + 2)
-        for w, s in ((1, 0), (-1, 1))]
+    ramps = _d1_ramps((max(e) * c_raw >> 2 * FRAC_BITS) + 2)
+    cols = ramps[1:].T.tolist()  # (m, sigma, tau) of each ramp
     thr = [(m << FRAC_BITS) + s * ej - tau * (ej * c_raw >> FRAC_BITS)
-           for ej in e for _, m, s, tau in ramps]
+           for ej in e for m, s, tau in cols]
     # t counts the x_r below each T: 0 for T <= 0, all for T >= 2**128, and
-    # for the rest their place among the keys, queries first on ties
+    # for the rest their place among the keys, thresholds first on ties
     t = np.array([0 if v <= 0 else n for v in thr], dtype=np.int64)
     inside = [j for j, v in enumerate(thr) if 0 < v < SCALE]
-    q_hi = np.array([thr[j] >> 64 for j in inside], dtype=np.uint64)
-    q_lo = np.array([thr[j] & 0xFFFFFFFFFFFFFFFF for j in inside],
-                    dtype=np.uint64)
+    q = np.array([divmod(thr[j], 1 << 64) for j in inside],
+                 dtype=np.uint64).reshape(-1, 2)  # high, low 64 bits
     is_key = np.concatenate((np.ones(n, bool), np.zeros(len(inside), bool)))
     order = np.lexsort((is_key,
-                        np.concatenate((limbs[1] << 32 | limbs[0], q_lo)),
-                        np.concatenate((limbs[3] << 32 | limbs[2], q_hi))))
+                        np.concatenate((limbs[1] << 32 | limbs[0], q[:, 1])),
+                        np.concatenate((limbs[3] << 32 | limbs[2], q[:, 0]))))
     below = np.empty(is_key.size, dtype=np.int64)
     below[order] = np.cumsum(is_key[order]) - is_key[order]
     t[inside] = below[n:]
 
-    k = len(ramps)
-    size = len(p_list) * k
-    below_n, below_s = _dominance_sums(
-        below[:n], np.concatenate((np.repeat(i1, k), np.repeat(i0, k))),
-        np.concatenate((t, t)), x)
-    n_at = count[:, None] - (below_n[:size] - below_n[size:]).reshape(-1, k)
-    s_at = total[:, :, None] - (below_s[:, :size]
-                                - below_s[:, size:]).reshape(4, -1, k)
-    w, m, sigma, tau = (np.array(col, dtype=np.int64) for col in zip(*ramps))
+    n_at, s_at = _dominance_sums(below[:n], i0, i1, t.reshape(len(e), -1),
+                                 np.array(limbs, dtype=np.int64))
     # the sum of w (y - u)_+ is 2**128 sum w s_at - sum w u n_at, and sum w u
     # n_at = U sum w m n_at + W sum w sigma n_at - E sum w tau n_at
-    x_sums = (s_at * w).sum(axis=2).tolist()
+    x_sums = (s_at * ramps[0]).sum(axis=2).tolist()
+    u_sums = (n_at @ (ramps[0] * ramps[1:]).T).T.tolist()  # m, sigma, tau
     terms = {}
-    for p, ej, l0, l1, l2, l3, wm, ws, wt in zip(
-            p_list, e, *x_sums, (n_at @ (w * m)).tolist(),
-            (n_at @ (w * sigma)).tolist(), (n_at @ (w * tau)).tolist()):
+    for p, ej, l0, l1, l2, l3, wm, ws, wt in zip(p_list, e, *x_sums, *u_sums):
         x_sum = l0 + (l1 << 32) + (l2 << 64) + (l3 << 96)
         terms[p] = (((x_sum - (wm << FRAC_BITS) - ej * ws) << FRAC_BITS)
                     + ej * c_raw * wt)
-    for p, _, segments in _exact_prime_segments(
-            a, b, cfg, np.tile(ps, 2), np.tile(eta, 2), primes,
-            np.concatenate((lo, i1)), np.concatenate((i0, hi))):
+    edge = _boundary_ranges(ps, eta, lo, i0, i1, hi)
+    for p, _, segments in _exact_prime_segments(a, b, cfg, *edge[:2], primes,
+                                                *edge[2:]):
         terms[p] += sum(h - l for l, h in segments)
     return _fraction_sum(terms.items(), c_raw << FRAC_BITS)
 
@@ -641,8 +639,9 @@ def witness_integral(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
     interval arithmetic, normalised once); method='fast' returns a float64
     evaluation with relative error well below 1e-6; 'auto' switches on N.
     For d = 1 neither path visits the interior pairs: ``_d1_exact_sum``
-    and ``_d1_band_sum`` sum them by dominance sums, in integers and in
-    float64, and visit only each prime's boundary pairs.  For d >= 2 the
+    and ``_d1_band_sum`` share the ramp table, the range query and the
+    boundary split, and differ only in number type (128-bit integers or
+    float64); each visits only the nonempty boundary ranges.  For d >= 2 the
     exact path walks every (p, r) pair with ``_exact_prime_segments`` and
     the fast path with ``_box_sum``.  Every path reads the thresholds of
     the primes p <= N, taken once.

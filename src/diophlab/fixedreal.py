@@ -118,7 +118,12 @@ class FixedReal:
             raise ContractError("empty numeric literal")
         if "/" in s:
             num, _, den = s.partition("/")
-            return cls.from_fraction(Fraction(int(num), int(den)))
+            try:
+                value = Fraction(int(num), int(den))
+            except (ValueError, ZeroDivisionError):
+                raise ContractError(
+                    f"malformed rational literal: {text!r}") from None
+            return cls.from_fraction(value)
         sign = 1
         if s[0] in "+-":
             if s[0] == "-":
@@ -166,15 +171,6 @@ class FixedReal:
 
     def __abs__(self) -> "FixedReal":
         return FixedReal(abs(self.raw))
-
-    # --- floor / frac ----------------------------------------------------
-
-    def floor(self) -> int:
-        return self.raw >> FRAC_BITS
-
-    def frac(self) -> "FixedReal":
-        """Fractional part in [0, 1), floor-based (also for negatives)."""
-        return FixedReal(self.raw & FRAC_MASK)
 
     # --- conversions ------------------------------------------------------
 

@@ -1,3 +1,5 @@
+import pytest
+
 from diophlab import cli, harness
 from diophlab.cli import dispatch, fmt30
 
@@ -50,6 +52,41 @@ class TestValidation:
         assert dispatch([]) == 2
 
 
+class TestMalformedValues:
+    INSTANCE = ["--c", "phi", "--k", "1", "--eps", "0.1"]
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("integrate", "Ngrid", "abc"), ("search", "N", "12x"),
+        ("search", "k", "abc"), ("audit", "Pgrid", "1x"),
+        ("sieve-side", "Q", "q"), ("upper", "samples", "x"),
+        ("search", "alpha", "1/0")])
+    def test_flag_exits_config(self, tmp_path, capsys, command, key, value):
+        out = tmp_path / "out.csv"
+        code = dispatch([command, *self.INSTANCE, f"--{key}", value,
+                         "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{key}=" in err
+        assert not out.exists()
+
+    def test_config_file_value_exits_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[instance]\nc = phi\nk = 1\neps = 0.1\n"
+                       "[run]\nN = 12x\n")
+        out = tmp_path / "out.csv"
+        code = dispatch(["search", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: bad value N=")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("points", ["0", "-5"])
+    def test_vaaler_check_needs_points(self, capsys, points):
+        assert dispatch(["vaaler-check", f"--points={points}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert captured.out == ""
+
+
 class TestDeterminism:
     def test_integrate_byte_identical(self, tmp_path):
         args = ["integrate", "--c", "phi", "--k", "1", "--eps", "0.1",
@@ -62,7 +99,7 @@ class TestDeterminism:
 
 
 class TestConfigFile:
-    def test_file_and_flag_override(self, tmp_path):
+    def test_file_and_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "[instance]\nc = phi\nk = 1\neps = 0.1\nA = 1.0\nB = 2.0\n"
@@ -71,6 +108,7 @@ class TestConfigFile:
         out = tmp_path / "flag_wins.csv"
         code = dispatch(["search", "--config", str(cfg), "--out", str(out)])
         assert code == 0 and out.exists()
+        assert "(p <= 500)" in capsys.readouterr().out  # N from the file
         code = dispatch(["search", "--config", str(tmp_path / "nope.cfg")])
         assert code == 2
 

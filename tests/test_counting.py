@@ -481,17 +481,28 @@ class TestWitnessIntegral:
         walk = counting._exact_prime_segments
         walked = []
 
+        box = counting._box_sum
+        boxed = []
+
         def spy(a, b, cfg, ps, eta, primes, lo_idx, hi_idx):
+            assert np.all(lo_idx < hi_idx)  # only nonempty ranges
             for p, e, i, j in zip(ps.tolist(), eta.tolist(), lo_idx.tolist(),
                                   hi_idx.tolist()):
                 walked.extend((p, Fraction(e), r)
                               for r in primes[i:j].tolist())
             return walk(a, b, cfg, ps, eta, primes, lo_idx, hi_idx)
 
+        def box_spy(primes, pf, eta, lo_idx, hi_idx, a, b, cfg):
+            boxed.append(np.all(lo_idx < hi_idx))
+            return box(primes, pf, eta, lo_idx, hi_idx, a, b, cfg)
+
         monkeypatch.setattr(counting, "_exact_prime_segments", spy)
+        monkeypatch.setattr(counting, "_box_sum", box_spy)
         got = witness_integral(a, b, cfg, N, table_small, method="exact")
+        witness_integral(a, b, cfg, N, table_small, method="fast")
         monkeypatch.undo()
         assert got == reference_exact_walk(a, b, cfg, N, table_small)
+        assert boxed == [True]
         c_fr, a_fr, b_fr = c.to_fraction(), Fraction(a), Fraction(b)
         interior = [(p, r) for p, e, r in walked
                     if r >= a_fr * p and r * c_fr >= e and r + e <= b_fr * p]
@@ -616,26 +627,76 @@ class TestWitnessIntegral:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
-    @settings(max_examples=60)
-    @given(keys=st.lists(st.integers(0, 5), max_size=40),
-           queries=st.lists(st.tuples(st.integers(0, 40), st.integers(-1, 6)),
-                            min_size=1, max_size=20))
-    def test_dominance_sums_match_brute_force(self, keys, queries):
-        # integer keys with ties; thresholds below, on and above the keys
+    @staticmethod
+    def _check_dominance_sums(keys, ranges, v):
+        # brute force: the j of each range whose key is at or above each v
         x = np.array(keys, dtype=np.int64)
         n = x.size
         values = np.stack((x * 7 + 1, np.arange(n, dtype=np.int64) ** 2))
-        i = np.array([min(q, n) for q, _ in queries], dtype=np.int64)
-        v = np.array([w for _, w in queries], dtype=np.int64)
+        lo = np.array([l for l, _ in ranges], dtype=np.int64)
+        hi = np.array([h for _, h in ranges], dtype=np.int64)
         order = np.argsort(x, kind="stable")
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n)
-        t = np.searchsorted(x[order], v, side="left")
-        count, sums = counting._dominance_sums(rank, i, t, values)
-        for k, (ik, vk) in enumerate(zip(i.tolist(), v.tolist())):
-            hit = [j for j in range(ik) if keys[j] < vk]
-            assert count[k] == len(hit)
-            assert sums[:, k].tolist() == values[:, hit].sum(axis=1).tolist()
+        t = np.searchsorted(x[order], np.array(v, dtype=np.int64),
+                            side="left")
+        count, sums = counting._dominance_sums(rank, lo, hi, t, values)
+        assert count.shape == t.shape and sums.shape == (2,) + t.shape
+        # thresholds past either end of the keys act as t = 0 and t = n
+        wide = np.where(t == 0, -3, np.where(t == n, n + 3, t))
+        for got, want in zip(
+                counting._dominance_sums(rank, lo, hi, wide, values),
+                (count, sums)):
+            assert np.array_equal(got, want)
+        for g, (l, h) in enumerate(ranges):
+            for q, vq in enumerate(v[g]):
+                hit = [j for j in range(l, h) if keys[j] >= vq]
+                assert count[g, q] == len(hit)
+                assert (sums[:, g, q].tolist()
+                        == values[:, hit].sum(axis=1).tolist())
+
+    @settings(max_examples=60)
+    @given(keys=st.lists(st.integers(0, 5), max_size=40), data=st.data())
+    def test_dominance_sums_match_brute_force(self, keys, data):
+        # integer keys with ties; ranges anywhere, empty ones included;
+        # thresholds below (t = 0), on and above (t = n) the keys
+        n = len(keys)
+        ranges = data.draw(st.lists(
+            st.tuples(st.integers(0, n), st.integers(0, n)).map(sorted),
+            min_size=1, max_size=8))
+        cols = data.draw(st.integers(1, 4))
+        v = data.draw(st.lists(
+            st.lists(st.integers(-1, 6), min_size=cols, max_size=cols),
+            min_size=len(ranges), max_size=len(ranges)))
+        self._check_dominance_sums(keys, ranges, v)
+
+    @pytest.mark.parametrize("keys, ranges, v", [
+        ([], [(0, 0)], [[-1, 0, 1]]),
+        ([3], [(0, 1), (1, 1), (0, 0)], [[0, 3, 4]] * 3),
+        ([2, 0, 2, 5, 1, 4], [(2, 6), (3, 3), (0, 6), (5, 6)],
+         [[-9, 0, 2, 9]] * 4)],
+        ids=["no-keys", "one-key", "offset-ranges"])
+    def test_dominance_sums_edge_cases(self, keys, ranges, v):
+        self._check_dominance_sums(keys, ranges, v)
+
+    def test_d1_kernels_search_the_same_thresholds(self, golden_cfg,
+                                                   table_small, monkeypatch):
+        # both kernels leave the same thresholds to the search, 0 < t < n
+        dominance = counting._dominance_sums
+        searched = []
+
+        def spy(rank, lo, hi, t, values):
+            searched.append((int(((t > 0) & (t < rank.size)).sum()), t.size))
+            return dominance(rank, lo, hi, t, values)
+
+        monkeypatch.setattr(counting, "_dominance_sums", spy)
+        for method in ("exact", "fast"):
+            witness_integral(1.0, 1.5, golden_cfg, 2**12, table_small,
+                             method=method)
+        (exact_inside, exact_all), (fast_inside, _) = searched
+        # 564 primes, 8 exact ramps each; a search reads both ends of a range
+        assert exact_inside == fast_inside == 1692
+        assert exact_all == 4512
 
     def test_pair_chunks_cover_every_pair_once(self, golden_cfg, table_small):
         primes = table_small.primes

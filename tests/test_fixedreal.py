@@ -54,10 +54,18 @@ class TestRepresentation:
         assert abs(x.to_float() - 1.4) < 1e-15
 
     def test_malformed(self):
+        # ContractError, not the ValueError or ZeroDivisionError of int()
+        for text in ("abc", "", "1/0", "1/x", "1.5/2", "x/3", "1/2/3", "/4"):
+            with pytest.raises(ContractError):
+                fr(text)
+            with pytest.raises(ContractError):
+                parse_real(text)
+
+    def test_malformed_slope_component(self):
         with pytest.raises(ContractError):
-            fr("abc")
+            CVector.parse("sqrt2,1/0", 2)
         with pytest.raises(ContractError):
-            fr("")
+            CVector.parse("sqrt2,1.5/2", 2)
 
     def test_exact_integer_multiples(self):
         x = fr("1.625")  # dyadic, exactly representable
