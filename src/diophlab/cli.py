@@ -1,10 +1,11 @@
 """Command-line front door: config parsing, subcommand dispatch, CSV emission.
 
 Config files are flat ``key = value`` INI text with ``[instance]`` and
-``[run]`` sections; any command-line flag overrides the file.  All outputs
-are deterministic: identical config and seed produce byte-identical CSV
-(header row, data rows, then ``# config_hash=...`` / ``# version=...``
-comment lines; numbers carry 30 significant digits).
+``[run]`` sections and no others, each holding only its own keys; any
+command-line flag overrides the file.  All outputs are deterministic:
+identical config and seed produce byte-identical CSV (header row, data
+rows, then ``# config_hash=...`` / ``# version=...`` comment lines;
+numbers carry 30 significant digits).
 """
 
 from __future__ import annotations
@@ -84,16 +85,30 @@ _RUN_KEYS = ("alpha", "N", "Ngrid", "P", "Pgrid", "Q", "samples", "seed",
              "out", "Nbound", "a", "b", "J", "u", "points")
 
 
+_SECTIONS = {"instance": _INSTANCE_KEYS, "run": _RUN_KEYS}
+
+
 def _load_config_file(path: str) -> dict:
+    """The values of a config file.  Only the sections [instance] and [run]
+    are accepted, each with its own keys (the flag names); any other section
+    or key raises ConfigError naming it, so a misspelt key cannot fall back
+    to its default unnoticed."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keys are case-sensitive: N, A, Ngrid, ...
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     values = {}
-    for section in ("instance", "run"):
-        if parser.has_section(section):
-            values.update(dict(parser.items(section)))
+    if parser.defaults():  # its keys would show up in every section
+        raise ConfigError(f"unknown section [{parser.default_section}] in "
+                          f"{path!r}")
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}] in {path!r}")
+        for key, value in parser.items(section):
+            if key not in _SECTIONS[section]:
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
+            values[key] = value
     return values
 
 

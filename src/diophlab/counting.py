@@ -16,7 +16,10 @@ unions of rational intervals; the exact path below computes it in integer
 arithmetic with a per-prime common denominator, and a documented float64
 fast path covers ranges where the exact path would be too slow.  For d = 1
 both paths sum each prime's interior (p, r) pairs by dominance sums
-instead of visiting them.
+instead of visiting them.  For d = 2 the exact path skips them in the
+big-integer walk: it decides them on exact integer ranks in numpy, pair by
+pair.  For d >= 3, and in ``riemann_scan``, the exact path still walks
+every pair.
 """
 
 from __future__ import annotations
@@ -42,6 +45,10 @@ DEFAULT_SIEVE_CAP = 20_000_000
 
 #: Most (p, r) pairs the fast path's box kernel holds at once.
 PAIR_BUDGET = 1 << 14
+
+#: Most (p, r) pairs the exact d=2 kernel holds at once.  It keeps about 150
+#: bytes per pair, so a chunk stays near 0.6 MiB.
+EXACT_PAIR_BUDGET = 1 << 12
 
 #: Most multipliers n one limb scan of the fractional-part tests holds at
 #: once; with 2**12, a loop of witness queries peaked 0.3 MiB higher.
@@ -362,6 +369,20 @@ def _fraction_sum(terms, base: int) -> Fraction:
     return Fraction(num, den * base)
 
 
+def _walk_sum(a, b, cfg: ApproxConfig, primes: np.ndarray, ranges,
+              terms: dict) -> Fraction:
+    """An exact integral as one Fraction: ``terms`` holds the integer sums
+    of pairs already counted, per prime p, and the segment walk adds the
+    pairs of ``ranges`` = (ps, eta, lo_idx, hi_idx); every sum is over the
+    denominator p 2**128 prod(c_raw)."""
+    ps, eta, lo_idx, hi_idx = ranges
+    for p, _, segments in _exact_prime_segments(a, b, cfg, ps, eta, primes,
+                                                lo_idx, hi_idx):
+        terms[p] = terms.get(p, 0) + sum(h - l for l, h in segments)
+    base = math.prod(ci.raw for ci in cfg.c.entries) << FRAC_BITS
+    return _fraction_sum(terms.items(), base)
+
+
 def _pair_ranges(primes: np.ndarray, pf: np.ndarray, a: float, b: float):
     """Index range [lo, hi) into primes of the r in [a*p - 1, b*p + 1], per p."""
     lo = np.searchsorted(primes, np.floor(a * pf - 1.0).astype(np.int64),
@@ -371,13 +392,15 @@ def _pair_ranges(primes: np.ndarray, pf: np.ndarray, a: float, b: float):
     return lo, hi
 
 
-def _pair_chunks(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
-                 lo_idx: np.ndarray, hi_idx: np.ndarray, pair_budget: int):
-    """Yield (p_rep, eta_rep, r) float64 arrays of at most pair_budget pairs.
+def _pair_chunks(lo_idx: np.ndarray, hi_idx: np.ndarray, pair_budget: int):
+    """Yield (rows, reps, i) for chunks of at most pair_budget pairs.
 
-    Pairs are (pf[j], primes[i]) for i in [lo_idx[j], hi_idx[j]), in order
-    of j then i, with eta[j] repeated beside pf[j].  A chunk may end inside
-    one range, so memory stays flat in N however many r one p pairs with.
+    The pairs are (j, i) for the ranges j and i in [lo_idx[j], hi_idx[j]),
+    in order of j then i.  A chunk holds reps[g] pairs of range rows.start
+    + g (rows is a slice, reps may hold zeros), and i is their partner
+    indices, so a per-range value v expands to the pairs as
+    np.repeat(v[rows], reps).  A chunk may end inside one range, so memory
+    stays flat in N however many r one p pairs with.
     """
     lens = hi_idx - lo_idx
     ends = np.cumsum(lens)
@@ -387,12 +410,11 @@ def _pair_chunks(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
         stop = min(start + pair_budget, total)
         first = int(np.searchsorted(ends, start, side="right"))
         last = int(np.searchsorted(ends, stop - 1, side="right")) + 1
-        reps = (np.minimum(ends[first:last], stop)
-                - np.maximum(begins[first:last], start))
-        # pair number g of range j has r = primes[g + lo_idx[j] - begins[j]]
-        shift = np.repeat(lo_idx[first:last] - begins[first:last], reps)
-        r = primes[np.arange(start, stop) + shift].astype(float)
-        yield np.repeat(pf[first:last], reps), np.repeat(eta[first:last], reps), r
+        rows = slice(first, last)
+        reps = np.minimum(ends[rows], stop) - np.maximum(begins[rows], start)
+        # pair number g of range j has i = g + lo_idx[j] - begins[j]
+        yield rows, reps, np.arange(start, stop) + np.repeat(
+            lo_idx[rows] - begins[rows], reps)
 
 
 def _box_sum(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
@@ -405,7 +427,7 @@ def _box_sum(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
     A pair (p, r) admits alpha in [lo, hi) = [max(r/p, a), min((r + eta)/p,
     b)), empty when hi <= lo; dimension i admits the windows
     [q/(c_i p), (q + eta)/(c_i p)) with q >= 1.  As eta < 1 and
-    hi - lo <= eta/p, only the n_cand_i = floor(c_i eta_max) + 2 candidates
+    hi - lo <= eta/p, only the n_cand_i = ``_window_count`` candidates
     q = floor(c_i p lo) + k can meet [lo, hi).  Each dimension's candidate
     windows are clipped to [lo, hi) once per chunk, and the pair's term is
     the sum over the candidate boxes (q_1..q_d) of
@@ -415,11 +437,13 @@ def _box_sum(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
     O(PAIR_BUDGET * sum n_cand_i), flat in N; the pairs are visited.
     """
     cs = cfg.c.floats()
-    eta_max = cfg.slack_threshold(2)  # largest threshold, attained at p = 2
-    n_cand = [int(math.floor(ci * eta_max)) + 2 for ci in cs]
+    # the largest threshold, at p = 2
+    e_max = int(math.ldexp(cfg.slack_threshold(2), FRAC_BITS))
+    n_cand = [_window_count(ci.raw, e_max) for ci in cfg.c.entries]
     sums = []
-    for p_rep, eta_rep, r in _pair_chunks(primes, pf, eta, lo_idx, hi_idx,
-                                          PAIR_BUDGET):
+    for rows, reps, i in _pair_chunks(lo_idx, hi_idx, PAIR_BUDGET):
+        p_rep, eta_rep = (np.repeat(v[rows], reps) for v in (pf, eta))
+        r = primes[i].astype(float)
         lo = np.maximum(r / p_rep, a)
         hi = np.minimum((r + eta_rep) / p_rep, b)
         lows, highs = [], []  # per dimension, one row per candidate q
@@ -443,6 +467,14 @@ def _box_sum(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
             np.maximum(top, 0.0, out=top)
             sums.append(float(top.sum()))
     return math.fsum(sums)
+
+
+def _window_count(c_raw: int, e: int) -> int:
+    """floor(c eta) + 2 for c = c_raw / 2**128 and eta = e / 2**128: the
+    windows q = floor(c beta_0) + k, k below this count, of frac(c beta) <
+    eta cover every beta in [beta_0, beta_0 + eta], as it exceeds 1 + c eta.
+    The one count of the candidates, ramps and boxes of every kernel."""
+    return (c_raw * e >> 2 * FRAC_BITS) + 2
 
 
 def _boundary_ranges(ps: np.ndarray, eta: np.ndarray, lo: np.ndarray,
@@ -548,7 +580,8 @@ def _d1_band_sum(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
 
     n = int(i1.max())
     x = frac_multiples(c_fixed, primes[:n])
-    w, m, sigma, tau = _d1_ramps(int(math.ceil(c * eta.max())) + 2)
+    w, m, sigma, tau = _d1_ramps(_window_count(
+        c_fixed.raw, int(math.ldexp(eta.max(), FRAC_BITS))))
     u = m + sigma * eta[:, None] - tau * (c * eta)[:, None]
     order = np.argsort(x, kind="stable")
     rank = np.empty(n, dtype=np.int64)
@@ -562,6 +595,67 @@ def _d1_band_sum(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
     return math.fsum(np.append(inner, edge))
 
 
+def _exact_ranges(a, b, cfg: ApproxConfig, ps: np.ndarray, eta: np.ndarray,
+                  primes: np.ndarray):
+    """The interior test of the exact kernels, in integers.
+
+    Returns e = [floor(eta_p 2**128)] over the primes p of ps, and lo <= i0
+    <= i1 <= hi per prime, where [lo, hi) is its partner range of
+    ``_pair_ranges`` and [i0, i1) holds its interior pairs: r >= a p, r c_i
+    >= eta for every i and r + eta <= b p, read as r c_raw_i >= e and
+    r 2**128 + e <= b p 2**128.  An interior pair's alpha window [r/p,
+    (r + eta)/p) lies in [a, b] and clear of every floor-zero band q_i < 1.
+    """
+    a_fr, b_fr = Fraction(a), Fraction(b)
+    lo, hi = _pair_ranges(primes, ps, float(a_fr), float(b_fr))
+    c_min = min(ci.raw for ci in cfg.c.entries)
+    p_list = ps.tolist()
+    e = [int(math.ldexp(v, FRAC_BITS)) for v in eta.tolist()]
+    beyond = int(primes[-1]) + 1  # r_min past every prime: no interior pair
+    r_min = [min(max(-(-a_fr.numerator * p // a_fr.denominator),
+                     -(-ej // c_min)), beyond) for p, ej in zip(p_list, e)]
+    r_max = [((b_fr.numerator * p << FRAC_BITS) - b_fr.denominator * ej)
+             // (b_fr.denominator << FRAC_BITS) for p, ej in zip(p_list, e)]
+    i0 = np.minimum(np.searchsorted(primes, r_min, side="left"), hi)
+    i1 = np.maximum(np.searchsorted(primes, r_max, side="right"), i0)
+    return e, lo, i0, i1, hi
+
+
+def _digits(values, count: int) -> np.ndarray:
+    """Ints 0 <= v < 2**(32 count) as int64 rows of their 32-bit digits,
+    least significant first."""
+    buf = b"".join(v.to_bytes(4 * count, "little") for v in values)
+    return np.frombuffer(buf, dtype="<u4").reshape(-1, count).astype(np.int64)
+
+
+def _words(digits: np.ndarray) -> list[np.ndarray]:
+    """Nonnegative numbers given as an even count of 32-bit digits along
+    the last axis, in int64 and with carries pending, as uint64 columns of
+    two digits each, most significant first.  The carries are settled in
+    ``digits`` itself."""
+    for k in range(digits.shape[-1] - 1):
+        digits[..., k + 1] += digits[..., k] >> 32
+        digits[..., k] &= 0xFFFFFFFF
+    w = digits.view(np.uint64)
+    return [w[..., k] | w[..., k + 1] << np.uint64(32)
+            for k in range(w.shape[-1] - 2, -1, -2)]
+
+
+def _rank(keys: list[np.ndarray], thresholds: list[np.ndarray]):
+    """Exact ranks of big integers given as ``_words`` columns: each key's
+    place among the keys (ties consecutive), and for each threshold T the
+    count t of keys below T, so that key >= T iff rank >= t.  One lexsort
+    over keys and thresholds, thresholds first on ties."""
+    n = keys[0].size
+    is_key = np.zeros(n + thresholds[0].size, dtype=bool)
+    is_key[:n] = True
+    order = np.lexsort([is_key] + [np.concatenate(pair) for pair in
+                                   zip(keys[::-1], thresholds[::-1])])
+    below = np.empty(is_key.size, dtype=np.int64)
+    below[order] = np.cumsum(is_key[order]) - is_key[order]
+    return below[:n], below[n:]
+
+
 def _d1_exact_sum(a, b, cfg: ApproxConfig, ps: np.ndarray, eta: np.ndarray,
                   primes: np.ndarray) -> Fraction:
     """The exact d=1 integral over p in ps (thresholds eta): the shape of
@@ -572,63 +666,192 @@ def _d1_exact_sum(a, b, cfg: ApproxConfig, ps: np.ndarray, eta: np.ndarray,
     X >= U, where U = 2**256, W = e 2**128 and e = floor(eta 2**128): the
     ramp u = m + sigma eta - tau c eta of ``_d1_ramps`` sits at m U + sigma
     W - tau E, E = e c_raw, over y = x_r 2**128, x_r = frac(c r) 2**128 from
-    ``limb_product``.  Interior means r >= a p, r c_raw >= e and r 2**128 +
-    e <= b p 2**128, decided in integers.  y >= u iff x_r >= T = ceil(u /
-    2**128): the keys and the thresholds 0 < T < 2**128 are ranked by one
-    lexsort, and the dominance sums run on the 32-bit limbs of x_r in int64
-    (below 2**32 pi(bN)).  The boundary pairs go to the segment walk.
+    ``limb_product``.  The interior pairs are those of ``_exact_ranges``.
+    y >= u iff x_r >= T = ceil(u / 2**128): ``_rank`` places the thresholds
+    0 < T < 2**128 among the keys, and the dominance sums run on the 32-bit
+    limbs of x_r in int64 (below 2**32 pi(bN)).  The boundary pairs go to
+    the segment walk.
     """
     if not ps.size:
         return Fraction(0)
     c_raw = cfg.c.entries[0].raw
-    a_fr, b_fr = Fraction(a), Fraction(b)
-    lo, hi = _pair_ranges(primes, ps, float(a_fr), float(b_fr))
-    p_list = ps.tolist()
-    e = [int(math.ldexp(v, FRAC_BITS)) for v in eta.tolist()]
-    beyond = int(primes[-1]) + 1  # r_min past every prime: no interior pair
-    r_min = [min(max(-(-a_fr.numerator * p // a_fr.denominator),
-                     -(-ej // c_raw)), beyond) for p, ej in zip(p_list, e)]
-    r_max = [((b_fr.numerator * p << FRAC_BITS) - b_fr.denominator * ej)
-             // (b_fr.denominator << FRAC_BITS) for p, ej in zip(p_list, e)]
-    i0 = np.minimum(np.searchsorted(primes, r_min, side="left"), hi)
-    i1 = np.maximum(np.searchsorted(primes, r_max, side="right"), i0)
+    e, lo, i0, i1, hi = _exact_ranges(a, b, cfg, ps, eta, primes)
 
     n = int(i1.max())
-    limbs = limb_product(c_raw, primes[:n], 4)
-    ramps = _d1_ramps((max(e) * c_raw >> 2 * FRAC_BITS) + 2)
+    limbs = np.array(limb_product(c_raw, primes[:n], 4), dtype=np.int64)
+    ramps = _d1_ramps(_window_count(c_raw, max(e)))
     cols = ramps[1:].T.tolist()  # (m, sigma, tau) of each ramp
     thr = [(m << FRAC_BITS) + s * ej - tau * (ej * c_raw >> FRAC_BITS)
            for ej in e for m, s, tau in cols]
     # t counts the x_r below each T: 0 for T <= 0, all for T >= 2**128, and
-    # for the rest their place among the keys, thresholds first on ties
+    # for the rest their place among the keys
     t = np.array([0 if v <= 0 else n for v in thr], dtype=np.int64)
     inside = [j for j, v in enumerate(thr) if 0 < v < SCALE]
-    q = np.array([divmod(thr[j], 1 << 64) for j in inside],
-                 dtype=np.uint64).reshape(-1, 2)  # high, low 64 bits
-    is_key = np.concatenate((np.ones(n, bool), np.zeros(len(inside), bool)))
-    order = np.lexsort((is_key,
-                        np.concatenate((limbs[1] << 32 | limbs[0], q[:, 1])),
-                        np.concatenate((limbs[3] << 32 | limbs[2], q[:, 0]))))
-    below = np.empty(is_key.size, dtype=np.int64)
-    below[order] = np.cumsum(is_key[order]) - is_key[order]
-    t[inside] = below[n:]
+    rank, t[inside] = _rank(_words(limbs.T),
+                            _words(_digits([thr[j] for j in inside], 4)))
 
-    n_at, s_at = _dominance_sums(below[:n], i0, i1, t.reshape(len(e), -1),
-                                 np.array(limbs, dtype=np.int64))
+    n_at, s_at = _dominance_sums(rank, i0, i1, t.reshape(len(e), -1), limbs)
     # the sum of w (y - u)_+ is 2**128 sum w s_at - sum w u n_at, and sum w u
     # n_at = U sum w m n_at + W sum w sigma n_at - E sum w tau n_at
     x_sums = (s_at * ramps[0]).sum(axis=2).tolist()
     u_sums = (n_at @ (ramps[0] * ramps[1:]).T).T.tolist()  # m, sigma, tau
     terms = {}
-    for p, ej, l0, l1, l2, l3, wm, ws, wt in zip(p_list, e, *x_sums, *u_sums):
+    for p, ej, l0, l1, l2, l3, wm, ws, wt in zip(ps.tolist(), e, *x_sums,
+                                                  *u_sums):
         x_sum = l0 + (l1 << 32) + (l2 << 64) + (l3 << 96)
         terms[p] = (((x_sum - (wm << FRAC_BITS) - ej * ws) << FRAC_BITS)
                     + ej * c_raw * wt)
-    edge = _boundary_ranges(ps, eta, lo, i0, i1, hi)
-    for p, _, segments in _exact_prime_segments(a, b, cfg, *edge[:2], primes,
-                                                *edge[2:]):
-        terms[p] += sum(h - l for l, h in segments)
-    return _fraction_sum(terms.items(), c_raw << FRAC_BITS)
+    return _walk_sum(a, b, cfg, primes,
+                     _boundary_ranges(ps, eta, lo, i0, i1, hi), terms)
+
+
+def _d2_boxes(c1: int, c2: int, e: int) -> list[tuple[int, int]]:
+    """The boxes (k1, k2) whose windows can meet, for the raw slopes c1, c2
+    and the largest e = eta 2**128 of a call: 0 <= k_i < floor(c_i eta) + 2
+    and c2 (k1 - 1)/c1 - eta < k2 < c2 (k1 + eta)/c1 + 1.
+
+    Dimension i's window k_i is (k_i - f_i + [0, eta))/c_i in units of
+    1/p, with f_i = frac(c_i r) in [0, 1), and the pair's window is [0,
+    eta).  The two dimension windows meet only if (k1 - f1)/c1 < (k2 - f2 +
+    eta)/c2 and (k2 - f2)/c2 < (k1 - f1 + eta)/c1; as 0 <= f_i < 1, that
+    puts k2 strictly inside the band.  Both meet [0, eta) only for 0 <= k_i
+    < c_i eta + 1.  A smaller eta only narrows the band.
+    """
+    kmax1, kmax2 = (_window_count(c, e) for c in (c1, c2))
+    unit = c1 << FRAC_BITS
+    return [(k1, k2) for k1 in range(kmax1) for k2 in range(
+        max((c2 * ((k1 - 1) << FRAC_BITS) - c1 * e) // unit + 1, 0),
+        min(-(-(c2 * ((k1 << FRAC_BITS) + e) + unit) // unit), kmax2))]
+
+
+def _d2_exact_sum(a, b, cfg: ApproxConfig, ps: np.ndarray, eta: np.ndarray,
+                  primes: np.ndarray) -> Fraction:
+    """The exact d=2 integral over p in ps (thresholds eta): interior pairs
+    decided by exact integer ranks in numpy, boundary pairs by the walk.
+
+    Units are the walk's, B = 2**128 and D = p c1 c2 B for the raw slopes
+    c1, c2.  An interior pair (p, r) of ``_exact_ranges`` admits the offsets
+    y in [0, e c1 c2) from r c1 c2 B, and dimension i the windows A_i (k_i
+    B + [0, e) - x_i), where x_i = frac(c_i r) B, A_1 = c2 B and A_2 = c1 B.
+    Its term is the sum over the boxes (k1, k2) of ``_d2_boxes`` of (least
+    upper end - greatest lower end)_+, the lower ends being 0, L_1, L_2 and
+    the upper ones U_0 = e c1 c2, U_1, U_2.  Tied ends are equal, so the
+    choice among them does not change the term.  Every decision compares
+    ranks:
+
+    - an end against a constant one: U_i <= U_0 iff x_i >= k_i B + e - E_i,
+      L_i <= U_0 iff x_i >= k_i B - E_i, U_i > 0 iff x_i < k_i B + e, with
+      E_i = floor(e c_i / B), and L_i > 0 iff k_i >= 1.  As 0 <= x_i < B,
+      x_i >= k B + o iff k < kappa = -floor(o / B) + [x_i >= o mod B]: one
+      ranked threshold per prime and offset o, one small kappa per pair.
+    - the dimension ends against each other compare z = c2 x1 - c1 x2 with
+      tau = (c2 k1 - c1 k2) B + e v: L_2 >= L_1 iff z >= tau at v = 0,
+      U_1 <= U_2 at v = c2 - c1, L_1 <= U_2 at v = -c1, and L_2 < U_1 iff
+      z < tau at v = c2.  The thresholds of each v are ranked in bulk.
+
+    Per pair, small counters keep the boxes of positive term: n of them,
+    n_i with least upper end U_i (n_0 = n - n_1 - n_2 with U_0), l_i with
+    greatest lower end L_i, and kd_i, the k_i of the U_i boxes less those of
+    the L_i boxes.  The prime's term is then e c1 c2 n_0 + sum_i A_i (B kd_i
+    + e n_i + sum_r (l_i - n_i) x_i), the last sum on the 32-bit digits of
+    x_i in int64, reduced per prime.  Pairs come EXACT_PAIR_BUDGET at a
+    time, and only the rank tables grow with the primes.
+    """
+    if not ps.size:
+        return Fraction(0)
+    c1, c2 = (ci.raw for ci in cfg.c.entries)
+    e, lo, i0, i1, hi = _exact_ranges(a, b, cfg, ps, eta, primes)
+    terms = {}
+    if np.any(i0 < i1):
+        xs = [[r * c & FRAC_MASK for r in primes[:int(i1.max())].tolist()]
+              for c in (c1, c2)]
+        digits = [_digits(x, 4) for x in xs]
+        # per dimension, one row per offset o: -floor(o / B), then the ranks
+        # of x_i, then the rank threshold of o mod B
+        kappa = []
+        for c, xd in zip((c1, c2), digits):
+            cut = [ej * c >> FRAC_BITS for ej in e]
+            offsets = ([ej - E for ej, E in zip(e, cut)] + [-E for E in cut]
+                       + e)
+            rank, t = _rank(_words(xd), _words(_digits(
+                [o & FRAC_MASK for o in offsets], 4)))
+            kappa.append((np.array([-(o >> FRAC_BITS) for o in offsets],
+                                   dtype=np.int32).reshape(3, -1),
+                          rank.astype(np.int32),
+                          t.astype(np.int32).reshape(3, -1)))
+        boxes = _d2_boxes(c1, c2, max(e))
+        # offsets that make every key and threshold positive, below
+        # 2 (box_off + e_off): box_off >= |c2 k1 - c1 k2| B, e_off > |e v|
+        box_off = max(c2 * k1 + c1 * k2 for k1, k2 in boxes) << FRAC_BITS
+        e_off = (c1 + c2) << FRAC_BITS
+        count = 2 * -(-(2 * (box_off + e_off)).bit_length() // 64)
+        keys = _words(_digits([c2 * x1 - c1 * x2 + box_off + e_off
+                               for x1, x2 in zip(*xs)], count))
+        box_digits = _digits([((c2 * k1 - c1 * k2) << FRAC_BITS) + box_off
+                              for k1, k2 in boxes], count)
+        tau = []  # per v, one row per box: the ranks of its thresholds
+        for shifts in ([e_off], [ej * (c2 - c1) + e_off for ej in e],
+                       [e_off - ej * c1 for ej in e],
+                       [ej * c2 + e_off for ej in e]):
+            # rz, the ranks of the keys, comes out the same from every call
+            rz, t = _rank(keys, [w.ravel() for w in _words(
+                box_digits[:, None] + _digits(shifts, count))])
+            tau.append(t.astype(np.int32).reshape(len(boxes), -1))
+        rz = rz.astype(np.int32)
+        limbs = [np.ascontiguousarray(xd.T) for xd in digits]
+        del xs, digits, keys, box_digits
+
+        sums = np.zeros((13, len(e)), dtype=np.int64)
+        for rows, reps, i in _pair_chunks(i0, i1, EXACT_PAIR_BUDGET):
+            (ka1, kb1, kc1), (ka2, kb2, kc2) = (
+                np.repeat(k0[:, rows], reps, axis=1)
+                + (rank[i] >= np.repeat(t[:, rows], reps, axis=1))
+                for k0, rank, t in kappa)
+            z = rz[i]
+            cnt = np.zeros((7, i.size), dtype=np.int64)  # n, n_i, kd_i, l_i
+            for col, (k1, k2) in enumerate(boxes):
+                uu, lu, ul = (np.repeat(tau[v][col, rows], reps)
+                              for v in (1, 2, 3))
+                u1, u2 = ka1 > k1, ka2 > k2  # U_i <= U_0
+                j1 = u1 & ((z >= uu) | ~u2)  # least upper end
+                j2 = u2 & ~j1
+                j0 = ~(u1 | u2)
+                if k1 or k2:  # the greatest lower end is L_2 or L_1
+                    low2 = z >= tau[0][col, 0]
+                    pos = ((low2 & (j2 | (j0 & (kb2 > k2)) | (j1 & (z < ul))))
+                           | (~low2 & (j1 | (j0 & (kb1 > k1))
+                                       | (j2 & (z >= lu)))))
+                    low2 &= pos
+                    lows = (pos ^ low2, low2)
+                else:  # the greatest lower end is 0
+                    pos = j0 | (j1 & (kc1 == 0)) | (j2 & (kc2 == 0))
+                cnt[0] += pos
+                for dim, (k, up) in enumerate(((k1, pos & j1),
+                                               (k2, pos & j2))):
+                    cnt[1 + dim] += up
+                    if k:  # else L_dim is never the greatest
+                        cnt[3 + dim] += k * up - k * lows[dim]
+                        cnt[5 + dim] += lows[dim]
+            # reduce per prime; a prime with no pairs here has no group
+            held = np.flatnonzero(reps)
+            starts = (np.cumsum(reps) - reps)[held]
+            held += rows.start
+            sums[:5, held] += np.add.reduceat(cnt[:5], starts, axis=1)
+            for dim in range(2):
+                m = cnt[5 + dim] - cnt[1 + dim]
+                for k, limb in enumerate(limbs[dim]):
+                    sums[5 + 4 * dim + k, held] += np.add.reduceat(
+                        limb[i] * m, starts)
+        a1, a2 = c2 << FRAC_BITS, c1 << FRAC_BITS
+        for p, ej, n, n1, n2, kd1, kd2, *x in zip(ps.tolist(), e,
+                                                  *sums.tolist()):
+            x1 = x[0] + (x[1] << 32) + (x[2] << 64) + (x[3] << 96)
+            x2 = x[4] + (x[5] << 32) + (x[6] << 64) + (x[7] << 96)
+            terms[p] = (ej * c1 * c2 * (n - n1 - n2)
+                        + a1 * ((kd1 << FRAC_BITS) + ej * n1 + x1)
+                        + a2 * ((kd2 << FRAC_BITS) + ej * n2 + x2))
+    return _walk_sum(a, b, cfg, primes,
+                     _boundary_ranges(ps, eta, lo, i0, i1, hi), terms)
 
 
 def witness_integral(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
@@ -641,10 +864,13 @@ def witness_integral(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
     For d = 1 neither path visits the interior pairs: ``_d1_exact_sum``
     and ``_d1_band_sum`` share the ramp table, the range query and the
     boundary split, and differ only in number type (128-bit integers or
-    float64); each visits only the nonempty boundary ranges.  For d >= 2 the
-    exact path walks every (p, r) pair with ``_exact_prime_segments`` and
-    the fast path with ``_box_sum``.  Every path reads the thresholds of
-    the primes p <= N, taken once.
+    float64); each visits only the nonempty boundary ranges.  For d = 2 the
+    exact path, ``_d2_exact_sum``, visits the interior pairs in numpy on
+    exact integer ranks, with no big-integer step per pair, and walks only
+    the boundary ranges.  For d >= 3 the exact path walks every (p, r) pair
+    with ``_exact_prime_segments``; for d >= 2 the fast path sums every
+    pair with ``_box_sum``.  Every path reads the thresholds of the primes
+    p <= N, taken once.
     """
     if method == "auto":
         method = "exact" if N <= EXACT_INTEGRAL_DEFAULT_LIMIT else "fast"
@@ -654,13 +880,11 @@ def witness_integral(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
     primes = table.primes
     a_f, b_f = float(Fraction(a)), float(Fraction(b))
     if method == "exact":
-        if cfg.d == 1:
-            return _d1_exact_sum(a, b, cfg, ps, eta, primes)
-        walk = _exact_prime_segments(a, b, cfg, ps, eta, primes,
-                                     *_pair_ranges(primes, ps, a_f, b_f))
-        base = math.prod(ci.raw for ci in cfg.c.entries) << FRAC_BITS
-        return _fraction_sum(((p, sum(h - l for l, h in segments))
-                              for p, _, segments in walk), base)
+        if cfg.d <= 2:
+            kernel = _d1_exact_sum if cfg.d == 1 else _d2_exact_sum
+            return kernel(a, b, cfg, ps, eta, primes)
+        return _walk_sum(a, b, cfg, primes,
+                         (ps, eta, *_pair_ranges(primes, ps, a_f, b_f)), {})
     pf = ps.astype(np.float64)
     if cfg.d == 1:
         return _d1_band_sum(primes, pf, eta, a_f, b_f, cfg)

@@ -112,6 +112,27 @@ class TestConfigFile:
         code = dispatch(["search", "--config", str(tmp_path / "nope.cfg")])
         assert code == 2
 
+    @pytest.mark.parametrize("text, name", [
+        ("[instance]\nc = phi\nk = 1\neps = 0.1\n[run]\nNgird = 64\n",
+         "'Ngird'"),
+        ("[instanse]\nc = phi\nk = 1\neps = 0.1\n[run]\nNgrid = 64\n",
+         "[instanse]"),
+        ("[instance]\nc = phi\nk = 1\neps = 0.1\nNgrid = 64\n", "'Ngrid'"),
+        ("[DEFAULT]\nNgrid = 64\n[instance]\nc = phi\nk = 1\neps = 0.1\n",
+         "[DEFAULT]")],
+        ids=["misspelt-key", "misspelt-section", "key-in-other-section",
+             "default-section"])
+    def test_unknown_key_or_section_exits_config(self, tmp_path, capsys, text,
+                                                 name):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out.csv"
+        code = dispatch(["integrate", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown") and name in err
+        assert not out.exists()
+
 
 class TestChecks:
     def test_audit_csv(self, tmp_path):

@@ -52,9 +52,11 @@ def reference_d1_band_sum(primes, ps, a, b, cfg, pair_budget=4_000_000):
     chunks = []
     c = cfg.c.floats()[0]
     pf = ps.astype(np.float64)
-    for p_rep, eta_rep, r in _pair_chunks(primes, pf, cfg.slack_threshold(pf),
-                                          *_pair_ranges(primes, pf, a, b),
-                                          pair_budget):
+    eta = cfg.slack_threshold(pf)
+    for rows, reps, i in _pair_chunks(*_pair_ranges(primes, pf, a, b),
+                                      pair_budget):
+        p_rep, eta_rep = (np.repeat(v[rows], reps) for v in (pf, eta))
+        r = primes[i].astype(float)
         s = np.maximum(r, a * p_rep)
         t = np.minimum(r + eta_rep, b * p_rep)
         np.maximum(t, s, out=t)  # clamp empty intervals to zero length
@@ -98,9 +100,11 @@ def reference_fast_general(primes, ps, a, b, cfg, pair_budget=1 << 14):
     n_cand = [int(math.floor(ci * eta_max)) + 2 for ci in cs]
     chunks = []
     pf = ps.astype(np.float64)
-    for p_rep, eta_rep, r in _pair_chunks(primes, pf, cfg.slack_threshold(pf),
-                                          *_pair_ranges(primes, pf, a, b),
-                                          pair_budget):
+    eta = cfg.slack_threshold(pf)
+    for rows, reps, i in _pair_chunks(*_pair_ranges(primes, pf, a, b),
+                                      pair_budget):
+        p_rep, eta_rep = (np.repeat(v[rows], reps) for v in (pf, eta))
+        r = primes[i].astype(float)
         lo = np.maximum(r / p_rep, a)
         hi = np.minimum((r + eta_rep) / p_rep, b)
         live = hi > lo
@@ -514,6 +518,109 @@ class TestWitnessIntegral:
             lo, hi = _pair_ranges(primes, ps, a, b)
             assert len(walked) < 0.05 * int((hi - lo).sum())
 
+    @settings(max_examples=70)
+    @given(slopes=st.lists(st.one_of(
+               NAMED_SLOPES, dyadic_slopes(),
+               st.integers(2**128, 2**129 - 1).map(FixedReal),
+               st.sampled_from((3.25, 7.25, 2.0**-68))), min_size=2, max_size=2),
+           window=st.one_of(dyadic_windows(), PRIME_END_WINDOWS),
+           N=st.one_of(st.integers(2**8, 2**10), st.integers(2, 2**10)),
+           eps_share=st.floats(1e-3, 1.0, exclude_max=True))
+    def test_exact_d2_matches_segment_walk(self, table_small, slopes, window,
+                                           N, eps_share):
+        # dyadic slopes up to 255 put x_i = frac(c_i r) on the breakpoints,
+        # and at c = 2**-68 every pair is a boundary pair
+        c = CVector(tuple(s if isinstance(s, FixedReal) else _slope(s)
+                          for s in slopes), 2.0)
+        cfg = ApproxConfig(c=c, epsilon=eps_share / 16, A=1.0, B=2.5)
+        # the walk's work grows like (1 + c1)(1 + c2) N**2
+        size = math.prod(1 + math.ceil(ci) for ci in c.floats())
+        N = max(2, min(N, math.isqrt(2**24 // size)))
+        a, b = window
+        got = witness_integral(a, b, cfg, N, table_small, method="exact")
+        assert got == reference_exact_walk(a, b, cfg, N, table_small)
+
+    @pytest.mark.parametrize("slopes, window", [
+        (("sqrt2", "sqrt3"), (1.0, 2.0)), (("phi", "sqrt2"), (1.25, 1.75)),
+        ((3.25, 7.25), (1.0, 1.5)), ((2.0**-68, "phi"), (1.0, 2.0))],
+        ids=["sqrt2-sqrt3", "phi-sqrt2", "dyadic", "tiny"])
+    def test_exact_d2_walks_only_boundary_pairs(self, table_small,
+                                                monkeypatch, slopes, window):
+        c = CVector(tuple(_slope(s) for s in slopes), 2.0)
+        cfg = ApproxConfig(c=c, epsilon=0.05, A=1.0, B=2.0)
+        a, b = window
+        N = 2**11
+        walk = counting._exact_prime_segments
+        walked = []
+
+        def spy(a, b, cfg, ps, eta, primes, lo_idx, hi_idx):
+            assert np.all(lo_idx < hi_idx)  # only nonempty ranges
+            for p, e, i, j in zip(ps.tolist(), eta.tolist(), lo_idx.tolist(),
+                                  hi_idx.tolist()):
+                walked.extend((p, Fraction(e), r)
+                              for r in primes[i:j].tolist())
+            return walk(a, b, cfg, ps, eta, primes, lo_idx, hi_idx)
+
+        monkeypatch.setattr(counting, "_exact_prime_segments", spy)
+        got = witness_integral(a, b, cfg, N, table_small, method="exact")
+        monkeypatch.undo()
+        assert got == reference_exact_walk(a, b, cfg, N, table_small)
+        cs = [ci.to_fraction() for ci in c.entries]
+        a_fr, b_fr = Fraction(a), Fraction(b)
+        interior = [(p, r) for p, e, r in walked
+                    if r >= a_fr * p and all(r * ci >= e for ci in cs)
+                    and r + e <= b_fr * p]
+        assert interior == []
+        assert len(set((p, r) for p, _, r in walked)) == len(walked)
+        primes = table_small.primes
+        lo, hi = _pair_ranges(primes, primes[primes <= N], a, b)
+        if slopes[0] == 2.0**-68:  # every pair is a boundary pair
+            assert len(walked) == int((hi - lo).sum())
+        else:
+            assert len(walked) < 0.05 * int((hi - lo).sum())
+
+    @settings(max_examples=100)
+    @given(c1=st.one_of(dyadic_slopes(), st.floats(2.0**-8, 4.0)),
+           c2=st.one_of(dyadic_slopes(), st.floats(2.0**-8, 4.0)),
+           x1=st.one_of(st.sampled_from((0, 2**128 - 1)),
+                        st.integers(0, 2**128 - 1)),
+           x2=st.one_of(st.sampled_from((0, 2**128 - 1)),
+                        st.integers(0, 2**128 - 1)),
+           e=st.one_of(st.integers(2**127, 2**128 - 1),
+                       st.integers(1, 2**128 - 1)),
+           share=st.floats(2.0**-8, 1.0))
+    def test_d2_band_holds_every_meeting_box(self, c1, c2, x1, x2, e, share):
+        # windows in y units: the pair's [0, e_p c1 c2) and dimension i's
+        # A_i (k_i B + [0, e_p) - x_i); the boxes come from the larger e
+        c1, c2 = (FixedReal.from_float(c).raw for c in (c1, c2))
+        big = 2**128
+        e_p = max(1, int(e * share))
+        boxes = set(counting._d2_boxes(c1, c2, e))
+        meeting = []
+        for k1 in range(-2, c1 * e // big**2 + 4):
+            lo1 = c2 * big * (k1 * big - x1)
+            hi1 = lo1 + c2 * big * e_p
+            for k2 in range(-2, c2 * e // big**2 + 4):
+                lo2 = c1 * big * (k2 * big - x2)
+                hi2 = lo2 + c1 * big * e_p
+                if max(0, lo1, lo2) < min(e_p * c1 * c2, hi1, hi2):
+                    meeting.append((k1, k2))
+        assert set(meeting) <= boxes
+
+    def test_exact_d2_memory(self, table_small):
+        # the benchmark's seed-1 instance: (sqrt3, sqrt2) on [9/8, 13/8]
+        c = CVector((constant("sqrt3"), constant("sqrt2")), 2.0)
+        cfg = ApproxConfig(c=c, epsilon=0.05, A=1.0, B=2.0)
+        witness_integral(1.125, 1.625, cfg, 2**10, table_small, method="exact")
+        tracemalloc.start()
+        try:
+            witness_integral(1.125, 1.625, cfg, 2**11, table_small,
+                             method="exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
+
     def test_fraction_sum_repeats_a_prime(self):
         got = counting._fraction_sum([(3, 1), (5, 0), (3, 2), (2, 7)], 4)
         assert got == Fraction(1, 12) + Fraction(2, 12) + Fraction(7, 8)
@@ -566,11 +673,12 @@ class TestWitnessIntegral:
         assert peak < 32 * 2**20
 
     def test_fast_matches_exact_d2(self, two_dim_cfg, table_small):
-        ex = witness_integral(1.0, 2.0, two_dim_cfg, 2000, table_small,
-                              method="exact")
-        fa = witness_integral(1.0, 2.0, two_dim_cfg, 2000, table_small,
-                              method="fast")
-        assert fa == pytest.approx(float(ex), rel=1e-9)
+        for N in (2000, 2**13):
+            ex = witness_integral(1.0, 2.0, two_dim_cfg, N, table_small,
+                                  method="exact")
+            fa = witness_integral(1.0, 2.0, two_dim_cfg, N, table_small,
+                                  method="fast")
+            assert fa == pytest.approx(float(ex), rel=1e-9)
 
     @settings(max_examples=40)
     @given(cfg=random_configs(), window=dyadic_windows(),
@@ -693,26 +801,31 @@ class TestWitnessIntegral:
         for method in ("exact", "fast"):
             witness_integral(1.0, 1.5, golden_cfg, 2**12, table_small,
                              method=method)
-        (exact_inside, exact_all), (fast_inside, _) = searched
-        # 564 primes, 8 exact ramps each; a search reads both ends of a range
+        (exact_inside, exact_all), (fast_inside, fast_all) = searched
+        # 564 primes, 8 ramps each (m count floor(c eta) + 2 = 3); a search
+        # reads both ends of a range
         assert exact_inside == fast_inside == 1692
-        assert exact_all == 4512
+        assert exact_all == fast_all == 4512
 
-    def test_pair_chunks_cover_every_pair_once(self, golden_cfg, table_small):
+    def test_pair_chunks_cover_every_pair_once(self, table_small):
         primes = table_small.primes
-        for N, a, b in ((2, 1.0, 2.0), (700, 1.0, 2.0), (1000, 1.25, 1.5)):
-            pf = primes[primes <= N].astype(np.float64)
-            eta = golden_cfg.slack_threshold(pf)
-            lo, hi = _pair_ranges(primes, pf, a, b)
-            want = [(p, e, float(r)) for p, e, l, h in zip(pf, eta, lo, hi)
-                    for r in primes[l:h]]
+        ranges = [_pair_ranges(primes, primes[primes <= N].astype(np.float64),
+                               a, b)
+                  for N, a, b in ((2, 1.0, 2.0), (700, 1.0, 2.0),
+                                  (1000, 1.25, 1.5))]
+        # empty ranges inside a chunk, as the exact kernels' interior has
+        ranges.append((np.array([0, 4, 4, 6, 9]), np.array([3, 4, 6, 6, 12])))
+        for lo, hi in ranges:
+            want = [(j, i) for j, (l, h) in enumerate(zip(lo, hi))
+                    for i in range(l, h)]
             for budget in (1, 3, 100, 2**14):
-                chunks = list(_pair_chunks(primes, pf, eta, lo, hi, budget))
-                assert all(0 < p.size == e.size == r.size <= budget
-                           for p, e, r in chunks)
+                chunks = list(_pair_chunks(lo, hi, budget))
+                assert all(0 < i.size == reps.sum() <= budget
+                           and reps.size == rows.stop - rows.start
+                           for rows, reps, i in chunks)
                 got = list(itertools.chain.from_iterable(
-                    zip(p.tolist(), e.tolist(), r.tolist())
-                    for p, e, r in chunks))
+                    zip(np.repeat(np.arange(len(lo))[rows], reps).tolist(),
+                        i.tolist()) for rows, reps, i in chunks))
                 assert got == want
 
     def test_interval_within_config(self, golden_cfg, table_small):
