@@ -164,6 +164,14 @@ def _int_list(text) -> list[int]:
     return [int(t) for t in str(text).split(",") if t.strip()]
 
 
+def _positive_int(text) -> int:
+    """An int of at least 1, such as ``samples`` or ``points``."""
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be at least 1")
+    return value
+
+
 def _n_grid(values: dict) -> list[int]:
     return _get(values, "Ngrid", _int_list, [2 ** e for e in range(10, 21)])
 
@@ -253,7 +261,7 @@ def _cmd_sieve_side(values: dict) -> int:
     n_val = _get(values, "N", int, 10000)
     out = str(values.get("out", "sieve.csv"))
     q_cap = _get(values, "Q", float, float(n_val) ** cfg.epsilon)
-    samples = max(8, _get(values, "samples", int, 8))
+    samples = _get(values, "samples", _positive_int, 8)
     seed = _get(values, "seed", int, 1)
     header = ["N", "t1", "t2", "S_exact", "main_term", "E_bound"]
     rows = []
@@ -272,9 +280,7 @@ def _cmd_sieve_side(values: dict) -> int:
 
 
 def _cmd_vaaler_check(values: dict) -> int:
-    grid_points = _get(values, "points", int, 10000)
-    if grid_points < 1:
-        raise ConfigError(f"points={grid_points} must be at least 1")
+    grid_points = _get(values, "points", _positive_int, 10000)
     xs = (np.arange(grid_points) + 0.5) / grid_points
     ok = True
     for degree in (1, 5, 10, 50):

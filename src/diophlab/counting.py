@@ -16,10 +16,10 @@ unions of rational intervals; the exact path below computes it in integer
 arithmetic with a per-prime common denominator, and a documented float64
 fast path covers ranges where the exact path would be too slow.  For d = 1
 both paths sum each prime's interior (p, r) pairs by dominance sums
-instead of visiting them.  For d = 2 the exact path skips them in the
-big-integer walk: it decides them on exact integer ranks in numpy, pair by
-pair.  For d >= 3, and in ``riemann_scan``, the exact path still walks
-every pair.
+instead of visiting them.  For every d >= 2 the exact path skips them in
+the big-integer walk: one rank kernel decides them on exact integer ranks
+in numpy, pair by pair.  The walk serves only each prime's boundary pairs,
+and every pair of ``riemann_scan``.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 from fractions import Fraction
 
 import numpy as np
@@ -46,8 +47,9 @@ DEFAULT_SIEVE_CAP = 20_000_000
 #: Most (p, r) pairs the fast path's box kernel holds at once.
 PAIR_BUDGET = 1 << 14
 
-#: Most (p, r) pairs the exact d=2 kernel holds at once.  It keeps about 150
-#: bytes per pair, so a chunk stays near 0.6 MiB.
+#: Most (p, r) pairs the exact rank kernel (d >= 2) holds at once.  It keeps
+#: about 75*d bytes per pair (measured 150, 240 and 310 at d = 2, 3 and 4),
+#: so a chunk stays near 0.6 MiB at d = 2 and 0.9 MiB at d = 3.
 EXACT_PAIR_BUDGET = 1 << 12
 
 #: Most multipliers n one limb scan of the fractional-part tests holds at
@@ -281,20 +283,18 @@ def revalidate_tuple(tup: SolutionTuple, alpha: FixedReal,
 # Exact integral over alpha
 # ----------------------------------------------------------------------
 
-def _scaled_endpoint(x: Fraction, D: int) -> int:
-    """x*D as an exact integer for a dyadic Fraction x."""
-    num = x.numerator * D
-    if num % x.denominator:
-        raise ContractError("endpoint is not exactly representable")
-    return num // x.denominator
-
-
 def _window_primes(a, b, cfg: ApproxConfig, N: int, table: ArithTable):
-    """The primes p <= N and their slack thresholds, once A <= a < b <= B
-    and a table reaching every partner r <= b*N + 1 are checked."""
-    if not (Fraction(cfg.A) <= Fraction(a) < Fraction(b) <= Fraction(cfg.B)):
+    """The primes p <= N and their slack thresholds, once the window ends
+    are checked, and a table reaching every partner r <= b*N + 1.  The ends
+    must satisfy A <= a < b <= B and be dyadic, with denominators up to
+    2**128: then a times D = p 2**128 prod(c_raw), the scale of every exact
+    path, is an integer."""
+    a_fr, b_fr = Fraction(a), Fraction(b)
+    if SCALE % a_fr.denominator or SCALE % b_fr.denominator:
+        raise ContractError("window ends must be multiples of 2**-128")
+    if not (Fraction(cfg.A) <= a_fr < b_fr <= Fraction(cfg.B)):
         raise ContractError("need A <= a < b <= B")
-    need = int(math.ceil(float(Fraction(b)) * N)) + 1
+    need = int(math.ceil(float(b_fr) * N)) + 1
     if need > table.limit:
         raise RangeError(f"table limit {table.limit} too small; need >= {need}")
     ps = table.primes[:np.searchsorted(table.primes, N, side="right")]
@@ -319,8 +319,8 @@ def _exact_prime_segments(a, b, cfg: ApproxConfig, ps: np.ndarray,
     for p, eta_p, i, j in zip(ps.tolist(), eta.tolist(), lo_idx.tolist(),
                               hi_idx.tolist()):
         D = p * base
-        aD = _scaled_endpoint(a_fr, D)
-        bD = _scaled_endpoint(b_fr, D)
+        aD = a_fr.numerator * D // a_fr.denominator
+        bD = b_fr.numerator * D // b_fr.denominator
         eta_int = int(math.ldexp(eta_p, FRAC_BITS))
         eta_off = eta_int * pc
         segments = []
@@ -369,13 +369,14 @@ def _fraction_sum(terms, base: int) -> Fraction:
     return Fraction(num, den * base)
 
 
-def _walk_sum(a, b, cfg: ApproxConfig, primes: np.ndarray, ranges,
+def _walk_sum(a, b, cfg: ApproxConfig, primes: np.ndarray, split,
               terms: dict) -> Fraction:
     """An exact integral as one Fraction: ``terms`` holds the integer sums
-    of pairs already counted, per prime p, and the segment walk adds the
-    pairs of ``ranges`` = (ps, eta, lo_idx, hi_idx); every sum is over the
-    denominator p 2**128 prod(c_raw)."""
-    ps, eta, lo_idx, hi_idx = ranges
+    of the interior pairs, per prime p, and the segment walk adds the
+    boundary pairs of ``split`` = (ps, eta, lo, i0, i1, hi), the ranges of
+    ``_boundary_ranges``; every sum is over the denominator p 2**128
+    prod(c_raw)."""
+    ps, eta, lo_idx, hi_idx = _boundary_ranges(*split)
     for p, _, segments in _exact_prime_segments(a, b, cfg, ps, eta, primes,
                                                 lo_idx, hi_idx):
         terms[p] = terms.get(p, 0) + sum(h - l for l, h in segments)
@@ -566,8 +567,6 @@ def _d1_band_sum(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
     over the keys x_r = frac(c r); the boundary pairs go to ``_box_sum``.
     Per-term absolute error is ~|endpoint|*2**-52.
     """
-    if not pf.size:
-        return 0.0
     c_fixed = cfg.c.entries[0]
     c = c_fixed.to_float()
     lo, hi = _pair_ranges(primes, pf, a, b)
@@ -644,14 +643,14 @@ def _words(digits: np.ndarray) -> list[np.ndarray]:
 def _rank(keys: list[np.ndarray], thresholds: list[np.ndarray]):
     """Exact ranks of big integers given as ``_words`` columns: each key's
     place among the keys (ties consecutive), and for each threshold T the
-    count t of keys below T, so that key >= T iff rank >= t.  One lexsort
-    over keys and thresholds, thresholds first on ties."""
+    count t of keys below T, so that key >= T iff rank >= t, both as int32.
+    One lexsort over keys and thresholds, thresholds first on ties."""
     n = keys[0].size
     is_key = np.zeros(n + thresholds[0].size, dtype=bool)
     is_key[:n] = True
     order = np.lexsort([is_key] + [np.concatenate(pair) for pair in
                                    zip(keys[::-1], thresholds[::-1])])
-    below = np.empty(is_key.size, dtype=np.int64)
+    below = np.empty(is_key.size, dtype=np.int32)
     below[order] = np.cumsum(is_key[order]) - is_key[order]
     return below[:n], below[n:]
 
@@ -672,8 +671,6 @@ def _d1_exact_sum(a, b, cfg: ApproxConfig, ps: np.ndarray, eta: np.ndarray,
     limbs of x_r in int64 (below 2**32 pi(bN)).  The boundary pairs go to
     the segment walk.
     """
-    if not ps.size:
-        return Fraction(0)
     c_raw = cfg.c.entries[0].raw
     e, lo, i0, i1, hi = _exact_ranges(a, b, cfg, ps, eta, primes)
 
@@ -701,41 +698,47 @@ def _d1_exact_sum(a, b, cfg: ApproxConfig, ps: np.ndarray, eta: np.ndarray,
         x_sum = l0 + (l1 << 32) + (l2 << 64) + (l3 << 96)
         terms[p] = (((x_sum - (wm << FRAC_BITS) - ej * ws) << FRAC_BITS)
                     + ej * c_raw * wt)
-    return _walk_sum(a, b, cfg, primes,
-                     _boundary_ranges(ps, eta, lo, i0, i1, hi), terms)
+    return _walk_sum(a, b, cfg, primes, (ps, eta, lo, i0, i1, hi), terms)
 
 
-def _d2_boxes(c1: int, c2: int, e: int) -> list[tuple[int, int]]:
-    """The boxes (k1, k2) whose windows can meet, for the raw slopes c1, c2
+def _boxes(craws: list[int], e: int) -> list[tuple[int, ...]]:
+    """The boxes (k_1..k_d) whose windows can meet, for the raw slopes c_i
     and the largest e = eta 2**128 of a call: 0 <= k_i < floor(c_i eta) + 2
-    and c2 (k1 - 1)/c1 - eta < k2 < c2 (k1 + eta)/c1 + 1.
+    and, for every i < j, c_j (k_i - 1)/c_i - eta < k_j < c_j (k_i + eta)/c_i
+    + 1.
 
     Dimension i's window k_i is (k_i - f_i + [0, eta))/c_i in units of
     1/p, with f_i = frac(c_i r) in [0, 1), and the pair's window is [0,
-    eta).  The two dimension windows meet only if (k1 - f1)/c1 < (k2 - f2 +
-    eta)/c2 and (k2 - f2)/c2 < (k1 - f1 + eta)/c1; as 0 <= f_i < 1, that
-    puts k2 strictly inside the band.  Both meet [0, eta) only for 0 <= k_i
-    < c_i eta + 1.  A smaller eta only narrows the band.
+    eta).  Two dimension windows meet only if (k_i - f_i)/c_i < (k_j - f_j +
+    eta)/c_j and (k_j - f_j)/c_j < (k_i - f_i + eta)/c_i; as 0 <= f < 1,
+    that puts k_j strictly inside the band of k_i.  A window meets [0, eta)
+    only for 0 <= k_i < c_i eta + 1.  A smaller eta only narrows the bands.
+    Each k_j is drawn from the bands of the k_i before it, so the product of
+    the ranges is never built.
     """
-    kmax1, kmax2 = (_window_count(c, e) for c in (c1, c2))
-    unit = c1 << FRAC_BITS
-    return [(k1, k2) for k1 in range(kmax1) for k2 in range(
-        max((c2 * ((k1 - 1) << FRAC_BITS) - c1 * e) // unit + 1, 0),
-        min(-(-(c2 * ((k1 << FRAC_BITS) + e) + unit) // unit), kmax2))]
+    boxes = [()]
+    for cj in craws:  # with u = c_i B: ceil(x / u) + 1 = 1 - x // -u
+        boxes = [box + (kj,) for box in boxes for kj in range(max([0] + [
+            (cj * ((ki - 1) << FRAC_BITS) - ci * e) // (ci << FRAC_BITS) + 1
+            for ci, ki in zip(craws, box)]), min([_window_count(cj, e)] + [
+                1 - cj * ((ki << FRAC_BITS) + e) // -(ci << FRAC_BITS)
+                for ci, ki in zip(craws, box)]))]
+    return boxes
 
 
-def _d2_exact_sum(a, b, cfg: ApproxConfig, ps: np.ndarray, eta: np.ndarray,
-                  primes: np.ndarray) -> Fraction:
-    """The exact d=2 integral over p in ps (thresholds eta): interior pairs
-    decided by exact integer ranks in numpy, boundary pairs by the walk.
+def _rank_exact_sum(a, b, cfg: ApproxConfig, ps: np.ndarray, eta: np.ndarray,
+                    primes: np.ndarray) -> Fraction:
+    """The exact integral for any d >= 2 over p in ps (thresholds eta):
+    interior pairs decided by exact integer ranks in numpy, boundary pairs
+    by the walk.
 
-    Units are the walk's, B = 2**128 and D = p c1 c2 B for the raw slopes
-    c1, c2.  An interior pair (p, r) of ``_exact_ranges`` admits the offsets
-    y in [0, e c1 c2) from r c1 c2 B, and dimension i the windows A_i (k_i
-    B + [0, e) - x_i), where x_i = frac(c_i r) B, A_1 = c2 B and A_2 = c1 B.
-    Its term is the sum over the boxes (k1, k2) of ``_d2_boxes`` of (least
-    upper end - greatest lower end)_+, the lower ends being 0, L_1, L_2 and
-    the upper ones U_0 = e c1 c2, U_1, U_2.  Tied ends are equal, so the
+    Units are the walk's, B = 2**128 and D = p C B for the product C of the
+    raw slopes c_i.  An interior pair (p, r) of ``_exact_ranges`` admits the
+    offsets y in [0, U_0 = e C) from r C B, and dimension i the windows
+    [L_i, U_i) = A_i (k_i B + [0, e) - x_i), where x_i = frac(c_i r) B and
+    A_i = (C / c_i) B.  Its term is the sum over the boxes k of ``_boxes``
+    of (least upper end - greatest lower end)_+, the lower ends being 0 and
+    the L_i, the upper ones U_0 and the U_i.  Tied ends are equal, so the
     choice among them does not change the term.  Every decision compares
     ranks:
 
@@ -744,114 +747,121 @@ def _d2_exact_sum(a, b, cfg: ApproxConfig, ps: np.ndarray, eta: np.ndarray,
       E_i = floor(e c_i / B), and L_i > 0 iff k_i >= 1.  As 0 <= x_i < B,
       x_i >= k B + o iff k < kappa = -floor(o / B) + [x_i >= o mod B]: one
       ranked threshold per prime and offset o, one small kappa per pair.
-    - the dimension ends against each other compare z = c2 x1 - c1 x2 with
-      tau = (c2 k1 - c1 k2) B + e v: L_2 >= L_1 iff z >= tau at v = 0,
-      U_1 <= U_2 at v = c2 - c1, L_1 <= U_2 at v = -c1, and L_2 < U_1 iff
-      z < tau at v = c2.  The thresholds of each v are ranked in bulk.
+    - the ends of dimensions i < j compare z = c_j x_i - c_i x_j with tau =
+      (c_j k_i - c_i k_j) B + e v: L_j >= L_i iff z >= tau at v = 0, U_i <=
+      U_j at v = c_j - c_i, L_i <= U_j at v = -c_i, and L_j < U_i iff z <
+      tau at v = c_j.  Each (i, j) ranks its thresholds in bulk, once per
+      distinct (k_i, k_j) of the boxes.
 
-    Per pair, small counters keep the boxes of positive term: n of them,
-    n_i with least upper end U_i (n_0 = n - n_1 - n_2 with U_0), l_i with
-    greatest lower end L_i, and kd_i, the k_i of the U_i boxes less those of
-    the L_i boxes.  The prime's term is then e c1 c2 n_0 + sum_i A_i (B kd_i
-    + e n_i + sum_r (l_i - n_i) x_i), the last sum on the 32-bit digits of
-    x_i in int64, reduced per prime.  Pairs come EXACT_PAIR_BUDGET at a
-    time, and only the rank tables grow with the primes.
+    The least upper end is U_0 unless some U_i <= U_0, and then the least
+    U_i, ties to the lower i; the greatest lower end is 0 unless some k_i >=
+    1, and then the greatest of those L_i, ties to the higher i.  Per pair,
+    small counters keep the boxes of positive term: n of them, n_i with
+    least upper end U_i (n_0 = n - sum n_i with U_0), l_i with greatest
+    lower end L_i, and kd_i, the k_i of the U_i boxes less those of the L_i
+    boxes.  The prime's term is then e C n_0 + sum_i A_i (B kd_i + e n_i +
+    sum_r (l_i - n_i) x_i), the last sum on the 32-bit digits of x_i in
+    int64, reduced per prime: 1 + 6 d rows.  Pairs come EXACT_PAIR_BUDGET at
+    a time, and only the rank tables grow with the primes.
     """
-    if not ps.size:
-        return Fraction(0)
-    c1, c2 = (ci.raw for ci in cfg.c.entries)
+    craws = [ci.raw for ci in cfg.c.entries]
+    d, pc = len(craws), math.prod(craws)
     e, lo, i0, i1, hi = _exact_ranges(a, b, cfg, ps, eta, primes)
-    terms = {}
-    if np.any(i0 < i1):
-        xs = [[r * c & FRAC_MASK for r in primes[:int(i1.max())].tolist()]
-              for c in (c1, c2)]
-        digits = [_digits(x, 4) for x in xs]
-        # per dimension, one row per offset o: -floor(o / B), then the ranks
-        # of x_i, then the rank threshold of o mod B
-        kappa = []
-        for c, xd in zip((c1, c2), digits):
-            cut = [ej * c >> FRAC_BITS for ej in e]
-            offsets = ([ej - E for ej, E in zip(e, cut)] + [-E for E in cut]
-                       + e)
-            rank, t = _rank(_words(xd), _words(_digits(
-                [o & FRAC_MASK for o in offsets], 4)))
-            kappa.append((np.array([-(o >> FRAC_BITS) for o in offsets],
-                                   dtype=np.int32).reshape(3, -1),
-                          rank.astype(np.int32),
-                          t.astype(np.int32).reshape(3, -1)))
-        boxes = _d2_boxes(c1, c2, max(e))
-        # offsets that make every key and threshold positive, below
-        # 2 (box_off + e_off): box_off >= |c2 k1 - c1 k2| B, e_off > |e v|
-        box_off = max(c2 * k1 + c1 * k2 for k1, k2 in boxes) << FRAC_BITS
-        e_off = (c1 + c2) << FRAC_BITS
+    rs = primes[:int(i1.max())].tolist()
+    xs = [[r * c & FRAC_MASK for r in rs] for c in craws]
+    digits = [_digits(x, 4) for x in xs]
+    # per dimension, one row per offset o: -floor(o / B), then the ranks of
+    # x_i, then the rank threshold of o mod B
+    kappa = []
+    for c, xd in zip(craws, digits):
+        cut = [ej * c >> FRAC_BITS for ej in e]
+        offsets = [ej - E for ej, E in zip(e, cut)] + [-E for E in cut] + e
+        rank, t = _rank(_words(xd), _words(_digits(
+            [o & FRAC_MASK for o in offsets], 4)))
+        k0 = np.array([-(o >> FRAC_BITS) for o in offsets], dtype=np.int32)
+        kappa.append((k0.reshape(3, -1), rank, t.reshape(3, -1)))
+    boxes = _boxes(craws, max(e))
+    # per (i, j), the ranks of z; per (i, j, k_i, k_j), the ranks of its
+    # thresholds: one at v = 0, one per prime at each other v
+    rz, tau = {}, {}
+    for i, j in itertools.combinations(range(d), 2):
+        ci, cj = craws[i], craws[j]
+        kps = sorted({(box[i], box[j]) for box in boxes})
+        # offsets that make every key and threshold positive, below 2 (box_off
+        # + e_off): box_off >= |c_j k_i - c_i k_j| B and e_off > |e v|
+        box_off = max(cj * ki + ci * kj for ki, kj in kps) << FRAC_BITS
+        e_off = (ci + cj) << FRAC_BITS
         count = 2 * -(-(2 * (box_off + e_off)).bit_length() // 64)
-        keys = _words(_digits([c2 * x1 - c1 * x2 + box_off + e_off
-                               for x1, x2 in zip(*xs)], count))
-        box_digits = _digits([((c2 * k1 - c1 * k2) << FRAC_BITS) + box_off
-                              for k1, k2 in boxes], count)
-        tau = []  # per v, one row per box: the ranks of its thresholds
-        for shifts in ([e_off], [ej * (c2 - c1) + e_off for ej in e],
-                       [e_off - ej * c1 for ej in e],
-                       [ej * c2 + e_off for ej in e]):
-            # rz, the ranks of the keys, comes out the same from every call
-            rz, t = _rank(keys, [w.ravel() for w in _words(
-                box_digits[:, None] + _digits(shifts, count))])
-            tau.append(t.astype(np.int32).reshape(len(boxes), -1))
-        rz = rz.astype(np.int32)
-        limbs = [np.ascontiguousarray(xd.T) for xd in digits]
-        del xs, digits, keys, box_digits
+        keys = _words(_digits([cj * x1 - ci * x2 + box_off + e_off
+                               for x1, x2 in zip(xs[i], xs[j])], count))
+        bases = _digits([((cj * ki - ci * kj) << FRAC_BITS) + box_off
+                         for ki, kj in kps], count)[:, None]
+        t = []  # one lexsort per v; v = 0 has one threshold per (k_i, k_j)
+        for shifts in ([e_off], *([ej * v + e_off for ej in e]
+                                  for v in (cj - ci, -ci, cj))):
+            rz[i, j], tv = _rank(keys, [w.ravel() for w in _words(
+                bases + _digits(shifts, count))])
+            t.append(tv.reshape(len(kps), -1))
+        tau.update(zip(((i, j, *kp) for kp in kps), zip(*t)))
 
-        sums = np.zeros((13, len(e)), dtype=np.int64)
-        for rows, reps, i in _pair_chunks(i0, i1, EXACT_PAIR_BUDGET):
-            (ka1, kb1, kc1), (ka2, kb2, kc2) = (
-                np.repeat(k0[:, rows], reps, axis=1)
-                + (rank[i] >= np.repeat(t[:, rows], reps, axis=1))
-                for k0, rank, t in kappa)
-            z = rz[i]
-            cnt = np.zeros((7, i.size), dtype=np.int64)  # n, n_i, kd_i, l_i
-            for col, (k1, k2) in enumerate(boxes):
-                uu, lu, ul = (np.repeat(tau[v][col, rows], reps)
-                              for v in (1, 2, 3))
-                u1, u2 = ka1 > k1, ka2 > k2  # U_i <= U_0
-                j1 = u1 & ((z >= uu) | ~u2)  # least upper end
-                j2 = u2 & ~j1
-                j0 = ~(u1 | u2)
-                if k1 or k2:  # the greatest lower end is L_2 or L_1
-                    low2 = z >= tau[0][col, 0]
-                    pos = ((low2 & (j2 | (j0 & (kb2 > k2)) | (j1 & (z < ul))))
-                           | (~low2 & (j1 | (j0 & (kb1 > k1))
-                                       | (j2 & (z >= lu)))))
-                    low2 &= pos
-                    lows = (pos ^ low2, low2)
-                else:  # the greatest lower end is 0
-                    pos = j0 | (j1 & (kc1 == 0)) | (j2 & (kc2 == 0))
-                cnt[0] += pos
-                for dim, (k, up) in enumerate(((k1, pos & j1),
-                                               (k2, pos & j2))):
-                    cnt[1 + dim] += up
-                    if k:  # else L_dim is never the greatest
-                        cnt[3 + dim] += k * up - k * lows[dim]
-                        cnt[5 + dim] += lows[dim]
-            # reduce per prime; a prime with no pairs here has no group
-            held = np.flatnonzero(reps)
-            starts = (np.cumsum(reps) - reps)[held]
-            held += rows.start
-            sums[:5, held] += np.add.reduceat(cnt[:5], starts, axis=1)
-            for dim in range(2):
-                m = cnt[5 + dim] - cnt[1 + dim]
-                for k, limb in enumerate(limbs[dim]):
-                    sums[5 + 4 * dim + k, held] += np.add.reduceat(
-                        limb[i] * m, starts)
-        a1, a2 = c2 << FRAC_BITS, c1 << FRAC_BITS
-        for p, ej, n, n1, n2, kd1, kd2, *x in zip(ps.tolist(), e,
-                                                  *sums.tolist()):
-            x1 = x[0] + (x[1] << 32) + (x[2] << 64) + (x[3] << 96)
-            x2 = x[4] + (x[5] << 32) + (x[6] << 64) + (x[7] << 96)
-            terms[p] = (ej * c1 * c2 * (n - n1 - n2)
-                        + a1 * ((kd1 << FRAC_BITS) + ej * n1 + x1)
-                        + a2 * ((kd2 << FRAC_BITS) + ej * n2 + x2))
-    return _walk_sum(a, b, cfg, primes,
-                     _boundary_ranges(ps, eta, lo, i0, i1, hi), terms)
+    sums = np.zeros((1 + 6 * d, len(e)), dtype=np.int64)
+    for rows, reps, idx in _pair_chunks(i0, i1, EXACT_PAIR_BUDGET):
+        ka, kb, kc = zip(*(np.repeat(k0[:, rows], reps, axis=1) + (
+            rank[idx] >= np.repeat(t[:, rows], reps, axis=1))
+            for k0, rank, t in kappa))
+        z = {ij: rank[idx] for ij, rank in rz.items()}
+
+        # z >= tau of (i, j) and the box, at v = 0, c_j - c_i, -c_i, c_j for
+        # v = 0, 1, 2, 3
+        def above(box, i, j, v):
+            tv = tau[i, j, box[i], box[j]]
+            return z[i, j] >= (np.repeat(tv[v][rows], reps) if v
+                               else tv[0][0])
+
+        cnt = np.zeros((1 + 3 * d, idx.size), dtype=np.int64)
+        for box in boxes:  # the counters n, n_i, kd_i and l_i of the pairs
+            le = {ij: above(box, *ij, 1) for ij in rz}  # U_i <= U_j
+            ups = [reduce(np.logical_and, [  # the least upper end is U_i
+                le[i, j] if i < j else ~le[j, i] for j in range(d) if j != i],
+                ka[i] > box[i]) for i in range(d)]
+            up0 = ~reduce(np.logical_or, ups)
+            lows = {}  # L_i > 0 is the greatest lower end, and below U
+            for i in (i for i in range(d) if box[i]):
+                meet = reduce(np.logical_or, [ups[j] & (
+                    above(box, i, j, 2) if i < j else ~above(box, j, i, 3))
+                    for j in range(d) if j != i],
+                    ups[i] | (up0 & (kb[i] > box[i])))
+                lows[i] = reduce(np.logical_and, [
+                    ~above(box, i, j, 0) if i < j else above(box, j, i, 0)
+                    for j in range(d) if box[j] and j != i], meet)
+            pos = reduce(np.logical_or, lows.values()) if lows else reduce(
+                np.logical_or, [u & (k <= 0) for u, k in zip(ups, kc)], up0)
+            cnt[0] += pos
+            for i in range(d):
+                up = pos & ups[i]
+                cnt[1 + i] += up
+                if box[i]:  # else L_i is never the greatest
+                    cnt[1 + d + i] += box[i] * up - box[i] * lows[i]
+                    cnt[1 + 2 * d + i] += lows[i]
+        # reduce per prime; a prime with no pairs here has no group
+        held = np.flatnonzero(reps)
+        starts = (np.cumsum(reps) - reps)[held]
+        held += rows.start
+        sums[:1 + 2 * d, held] += np.add.reduceat(cnt[:1 + 2 * d], starts,
+                                                  axis=1)
+        for i in range(d):
+            m = cnt[1 + 2 * d + i] - cnt[1 + i]
+            for k, limb in enumerate(digits[i].T):
+                sums[1 + 2 * d + 4 * i + k, held] += np.add.reduceat(
+                    limb[idx] * m, starts)
+    n, ns, kd, x = np.split(sums.astype(object), [1, 1 + d, 1 + 2 * d])
+    x = (x.reshape(d, 4, -1) << np.array([[0], [32], [64], [96]])).sum(axis=1)
+    e_obj = np.array(e, dtype=object)
+    areas = np.array([[pc // c << FRAC_BITS] for c in craws], dtype=object)
+    total = e_obj * pc * (n[0] - ns.sum(axis=0)) + (
+        areas * ((kd << FRAC_BITS) + e_obj * ns + x)).sum(axis=0)
+    return _walk_sum(a, b, cfg, primes, (ps, eta, lo, i0, i1, hi),
+                     dict(zip(ps.tolist(), total.tolist())))
 
 
 def witness_integral(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
@@ -864,27 +874,26 @@ def witness_integral(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
     For d = 1 neither path visits the interior pairs: ``_d1_exact_sum``
     and ``_d1_band_sum`` share the ramp table, the range query and the
     boundary split, and differ only in number type (128-bit integers or
-    float64); each visits only the nonempty boundary ranges.  For d = 2 the
-    exact path, ``_d2_exact_sum``, visits the interior pairs in numpy on
-    exact integer ranks, with no big-integer step per pair, and walks only
-    the boundary ranges.  For d >= 3 the exact path walks every (p, r) pair
-    with ``_exact_prime_segments``; for d >= 2 the fast path sums every
-    pair with ``_box_sum``.  Every path reads the thresholds of the primes
-    p <= N, taken once.
+    float64); each visits only the nonempty boundary ranges.  For every d
+    >= 2 the exact path, ``_rank_exact_sum``, visits the interior pairs in
+    numpy on exact integer ranks, with no big-integer step per pair, and
+    walks only the boundary ranges; the fast path sums every pair with
+    ``_box_sum``.  Every path reads the thresholds of the primes p <= N,
+    taken once.  The window ends a, b must be multiples of 2**-128, checked
+    before any work.
     """
     if method == "auto":
         method = "exact" if N <= EXACT_INTEGRAL_DEFAULT_LIMIT else "fast"
     if method not in ("exact", "fast"):
         raise ContractError(f"unknown method {method!r}")
     ps, eta = _window_primes(a, b, cfg, N, table)
+    if not ps.size:  # no prime p <= N: every kernel below needs one
+        return Fraction(0) if method == "exact" else 0.0
     primes = table.primes
     a_f, b_f = float(Fraction(a)), float(Fraction(b))
     if method == "exact":
-        if cfg.d <= 2:
-            kernel = _d1_exact_sum if cfg.d == 1 else _d2_exact_sum
-            return kernel(a, b, cfg, ps, eta, primes)
-        return _walk_sum(a, b, cfg, primes,
-                         (ps, eta, *_pair_ranges(primes, ps, a_f, b_f)), {})
+        return (_d1_exact_sum if cfg.d == 1 else _rank_exact_sum)(
+            a, b, cfg, ps, eta, primes)
     pf = ps.astype(np.float64)
     if cfg.d == 1:
         return _d1_band_sum(primes, pf, eta, a_f, b_f, cfg)
@@ -910,7 +919,7 @@ def riemann_scan(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
     ranges = _pair_ranges(table.primes, ps, float(a_fr), float(Fraction(b)))
     for _, D, segments in _exact_prime_segments(a, b, cfg, ps, eta,
                                                 table.primes, *ranges):
-        aD = _scaled_endpoint(a_fr, D)
+        aD = a_fr.numerator * D // a_fr.denominator
         # g > (L - aD) * points / (width * D);  g < (H - aD) * points / (...)
         den = width.numerator * D
         scale = points * width.denominator

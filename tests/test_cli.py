@@ -79,6 +79,22 @@ class TestMalformedValues:
         assert capsys.readouterr().err.startswith("config error: bad value N=")
         assert not out.exists()
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_sieve_side_needs_samples(self, tmp_path, capsys, monkeypatch,
+                                      samples):
+        def no_work(*args, **kwargs):
+            raise AssertionError("sieve-side ran")
+
+        monkeypatch.setattr(cli, "sieve_side_counts", no_work)
+        monkeypatch.setattr(cli, "average_error_check", no_work)
+        out = tmp_path / "sieve.csv"
+        code = dispatch(["sieve-side", *self.INSTANCE, "--N", "2000",
+                         f"--samples={samples}", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "samples=" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("points", ["0", "-5"])
     def test_vaaler_check_needs_points(self, capsys, points):
         assert dispatch(["vaaler-check", f"--points={points}"]) == 2
@@ -179,6 +195,23 @@ class TestChecks:
         lines = out.read_text().splitlines()
         assert lines[0] == "N,t1,t2,S_exact,main_term,E_bound"
         assert len(lines) > 3
+
+    @pytest.mark.parametrize("flag, want", [([], 8), (["--samples", "3"], 3),
+                                            (["--samples", "1"], 1)])
+    def test_sieve_side_honours_samples(self, tmp_path, monkeypatch, flag,
+                                        want):
+        seen = []
+
+        def spy(grid, cfg, alpha_samples, seed):
+            seen.append(alpha_samples)
+            return []
+
+        monkeypatch.setattr(cli, "average_error_check", spy)
+        code = dispatch(["sieve-side", "--c", "phi", "--k", "1", "--eps",
+                         "0.1", "--N", "2000", "--Q", "3", *flag,
+                         "--out", str(tmp_path / "sieve.csv")])
+        assert code == 0
+        assert seen == [want]
 
     def test_upper(self, tmp_path):
         out = tmp_path / "upper.csv"

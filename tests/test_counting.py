@@ -540,14 +540,42 @@ class TestWitnessIntegral:
         got = witness_integral(a, b, cfg, N, table_small, method="exact")
         assert got == reference_exact_walk(a, b, cfg, N, table_small)
 
+    @settings(max_examples=60)
+    @given(slopes=st.lists(st.one_of(
+               NAMED_SLOPES, dyadic_slopes(),
+               st.integers(2**128, 2**129 - 1).map(FixedReal),
+               st.sampled_from((3.25, 7.25, 2.0**-68))), min_size=3, max_size=3),
+           window=st.one_of(dyadic_windows(), PRIME_END_WINDOWS),
+           N=st.one_of(st.integers(2**8, 2**10), st.integers(2, 2**10)),
+           eps_share=st.floats(1e-3, 1.0, exclude_max=True))
+    def test_exact_d3_matches_segment_walk(self, table_small, slopes, window,
+                                           N, eps_share):
+        # the d = 2 draws with a third slope: every pair of dimensions meets
+        # named, dyadic (ties at the breakpoints), 129-bit and tiny slopes
+        c = CVector(tuple(s if isinstance(s, FixedReal) else _slope(s)
+                          for s in slopes), 3.0)
+        cfg = ApproxConfig(c=c, epsilon=eps_share / 33, A=1.0, B=2.5)
+        # the walk's work grows like (1 + c1)(1 + c2)(1 + c3) N**2
+        size = math.prod(1 + math.ceil(ci) for ci in c.floats())
+        N = max(2, min(N, math.isqrt(2**24 // size)))
+        a, b = window
+        got = witness_integral(a, b, cfg, N, table_small, method="exact")
+        assert got == reference_exact_walk(a, b, cfg, N, table_small)
+
     @pytest.mark.parametrize("slopes, window", [
         (("sqrt2", "sqrt3"), (1.0, 2.0)), (("phi", "sqrt2"), (1.25, 1.75)),
-        ((3.25, 7.25), (1.0, 1.5)), ((2.0**-68, "phi"), (1.0, 2.0))],
-        ids=["sqrt2-sqrt3", "phi-sqrt2", "dyadic", "tiny"])
+        ((3.25, 7.25), (1.0, 1.5)), ((2.0**-68, "phi"), (1.0, 2.0)),
+        (("sqrt2", "sqrt3", "phi"), (1.125, 1.625)),
+        ((3.25, 0.1875, 7.25), (1.0, 1.5))],
+        ids=["sqrt2-sqrt3", "phi-sqrt2", "dyadic", "tiny", "d3-named",
+             "d3-dyadic"])
     def test_exact_d2_walks_only_boundary_pairs(self, table_small,
                                                 monkeypatch, slopes, window):
-        c = CVector(tuple(_slope(s) for s in slopes), 2.0)
-        cfg = ApproxConfig(c=c, epsilon=0.05, A=1.0, B=2.0)
+        # d = 2 at k = 2, eps = 0.05; d = 3 at k = 3, eps = 0.02 < 1/33
+        d = len(slopes)
+        c = CVector(tuple(_slope(s) for s in slopes), float(d))
+        cfg = ApproxConfig(c=c, epsilon=0.05 if d == 2 else 0.02, A=1.0,
+                           B=2.0)
         a, b = window
         N = 2**11
         walk = counting._exact_prime_segments
@@ -580,46 +608,72 @@ class TestWitnessIntegral:
             assert len(walked) < 0.05 * int((hi - lo).sum())
 
     @settings(max_examples=100)
-    @given(c1=st.one_of(dyadic_slopes(), st.floats(2.0**-8, 4.0)),
-           c2=st.one_of(dyadic_slopes(), st.floats(2.0**-8, 4.0)),
-           x1=st.one_of(st.sampled_from((0, 2**128 - 1)),
-                        st.integers(0, 2**128 - 1)),
-           x2=st.one_of(st.sampled_from((0, 2**128 - 1)),
-                        st.integers(0, 2**128 - 1)),
+    @given(slopes=st.one_of(
+               st.lists(st.one_of(dyadic_slopes(), st.floats(2.0**-8, 4.0)),
+                        min_size=2, max_size=2),
+               # one slope up to 255 in any place, two up to 4
+               st.tuples(st.one_of(dyadic_slopes(), st.floats(2.0**-8, 4.0)),
+                         *[st.one_of(st.floats(2.0**-8, 4.0),
+                                     st.integers(1, 255).map(lambda m: m / 64))
+                           ] * 2).flatmap(st.permutations)),
+           data=st.data(),
            e=st.one_of(st.integers(2**127, 2**128 - 1),
                        st.integers(1, 2**128 - 1)),
            share=st.floats(2.0**-8, 1.0))
-    def test_d2_band_holds_every_meeting_box(self, c1, c2, x1, x2, e, share):
-        # windows in y units: the pair's [0, e_p c1 c2) and dimension i's
-        # A_i (k_i B + [0, e_p) - x_i); the boxes come from the larger e
-        c1, c2 = (FixedReal.from_float(c).raw for c in (c1, c2))
+    def test_band_holds_every_meeting_box(self, slopes, data, e, share):
+        # windows in y units: the pair's [0, e_p C) and dimension i's A_i
+        # (k_i B + [0, e_p) - x_i), A_i = (C / c_i) B; the boxes come from
+        # the larger e
+        craws = [FixedReal.from_float(c).raw for c in slopes]
         big = 2**128
+        xs = [data.draw(st.one_of(st.sampled_from((0, big - 1)),
+                                  st.integers(0, big - 1))) for _ in craws]
         e_p = max(1, int(e * share))
-        boxes = set(counting._d2_boxes(c1, c2, e))
+        pc = math.prod(craws)
+        boxes = counting._boxes(craws, e)
+        assert len(set(boxes)) == len(boxes)
+        # the boxes are those of the bands of every pair of dimensions
+        eta = Fraction(e, big)
+        in_bands = [k for k in itertools.product(*[
+            range(c * e // big**2 + 2) for c in craws])
+            if all(Fraction(cj * (ki - 1), ci) - eta < kj
+                   < Fraction(cj, ci) * (ki + eta) + 1
+                   for (ci, ki), (cj, kj) in itertools.combinations(
+                       zip(craws, k), 2))]
+        assert boxes == in_bands
         meeting = []
-        for k1 in range(-2, c1 * e // big**2 + 4):
-            lo1 = c2 * big * (k1 * big - x1)
-            hi1 = lo1 + c2 * big * e_p
-            for k2 in range(-2, c2 * e // big**2 + 4):
-                lo2 = c1 * big * (k2 * big - x2)
-                hi2 = lo2 + c1 * big * e_p
-                if max(0, lo1, lo2) < min(e_p * c1 * c2, hi1, hi2):
-                    meeting.append((k1, k2))
-        assert set(meeting) <= boxes
+        for k in itertools.product(*[range(-2, c * e // big**2 + 4)
+                                     for c in craws]):
+            ends = [(pc // c * big * (ki * big - x),
+                     pc // c * big * (ki * big + e_p - x))
+                    for c, ki, x in zip(craws, k, xs)]
+            if (max(0, *(lo for lo, _ in ends))
+                    < min(e_p * pc, *(hi for _, hi in ends))):
+                meeting.append(k)
+        assert set(meeting) <= set(boxes)
+
+    @staticmethod
+    def _exact_peak(cfg, table):
+        """The traced allocation peak of the exact integral on [9/8, 13/8]
+        at N = 2**11, after a warm-up call at 2**10."""
+        witness_integral(1.125, 1.625, cfg, 2**10, table, method="exact")
+        tracemalloc.start()
+        try:
+            witness_integral(1.125, 1.625, cfg, 2**11, table, method="exact")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     def test_exact_d2_memory(self, table_small):
         # the benchmark's seed-1 instance: (sqrt3, sqrt2) on [9/8, 13/8]
         c = CVector((constant("sqrt3"), constant("sqrt2")), 2.0)
         cfg = ApproxConfig(c=c, epsilon=0.05, A=1.0, B=2.0)
-        witness_integral(1.125, 1.625, cfg, 2**10, table_small, method="exact")
-        tracemalloc.start()
-        try:
-            witness_integral(1.125, 1.625, cfg, 2**11, table_small,
-                             method="exact")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * 2**20
+        assert self._exact_peak(cfg, table_small) < 1.5 * 2**20
+
+    def test_exact_d3_memory(self, table_small):
+        c = CVector(tuple(constant(s) for s in ("sqrt2", "sqrt3", "phi")), 3.0)
+        cfg = ApproxConfig(c=c, epsilon=0.02, A=1.0, B=2.0)
+        assert self._exact_peak(cfg, table_small) < 2 * 2**20
 
     def test_fraction_sum_repeats_a_prime(self):
         got = counting._fraction_sum([(3, 1), (5, 0), (3, 2), (2, 7)], 4)
@@ -720,9 +774,10 @@ class TestWitnessIntegral:
     def test_fast_matches_exact_d3(self, table_small):
         c = CVector((constant("sqrt2"), constant("sqrt3"), constant("phi")), 3.0)
         cfg = ApproxConfig(c=c, epsilon=0.02, A=1.0, B=2.0)
-        ex = witness_integral(1.0, 2.0, cfg, 1000, table_small, method="exact")
-        fa = witness_integral(1.0, 2.0, cfg, 1000, table_small, method="fast")
-        assert fa == pytest.approx(float(ex), rel=1e-9)
+        for a, b, N in ((1.0, 2.0, 1000), (1.125, 1.625, 2**11)):
+            ex = witness_integral(a, b, cfg, N, table_small, method="exact")
+            fa = witness_integral(a, b, cfg, N, table_small, method="fast")
+            assert fa == pytest.approx(float(ex), rel=1e-9)
 
     def test_fast_d2_memory_flat(self, two_dim_cfg, table_small):
         witness_integral(1.0, 2.0, two_dim_cfg, 2**10, table_small, method="fast")
@@ -876,6 +931,30 @@ class TestWitnessIntegral:
         monkeypatch.setattr(counting, "_exact_prime_segments", no_walk)
         with pytest.raises(ContractError):
             riemann_scan(a, b, golden_cfg, 1000, table_small, points)
+
+    @pytest.mark.parametrize("a", [Fraction(4, 3), 1 + Fraction(1, 2**129)],
+                             ids=["third", "past-2**-128"])
+    @pytest.mark.parametrize("call", ["exact", "fast", "auto", "riemann"])
+    def test_non_dyadic_window_rejected_before_any_work(
+            self, golden_cfg, two_dim_cfg, table_small, monkeypatch, a, call):
+        def no_work(*args):
+            raise AssertionError("a kernel ran")
+
+        for name in ("_exact_ranges", "_pair_ranges", "_exact_prime_segments",
+                     "_d1_exact_sum", "_rank_exact_sum", "_d1_band_sum",
+                     "_box_sum"):
+            monkeypatch.setattr(counting, name, no_work)
+        for cfg in (golden_cfg, two_dim_cfg):
+            with pytest.raises(ContractError, match="multiples of 2"):
+                if call == "riemann":
+                    riemann_scan(a, 1.5, cfg, 1000, table_small, 100)
+                else:
+                    witness_integral(a, 1.5, cfg, 1000, table_small,
+                                     method=call)
+            # the end may be b as well
+            with pytest.raises(ContractError, match="multiples of 2"):
+                witness_integral(1.0, a, cfg, 1000, table_small,
+                                 method="exact" if call == "riemann" else call)
 
     def test_riemann_within_provable_bound(self, golden_cfg, table_small):
         points = 10**5
