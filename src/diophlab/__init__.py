@@ -40,6 +40,7 @@ from .counting import (  # noqa: E402
     riemann_scan,
     sieve_error_sum,
     sieve_side_counts,
+    sieve_side_rows,
     target_growth,
     target_growth_alt,
     window_counts,

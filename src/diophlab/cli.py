@@ -22,13 +22,7 @@ import numpy as np
 
 from . import __version__
 from .arith import build_arith_table
-from .counting import (
-    ApproxConfig,
-    SieveSideParams,
-    congruence_pairs,
-    count_witnesses,
-    sieve_side_counts,
-)
+from .counting import ApproxConfig, count_witnesses, sieve_side_rows
 from .errors import ConfigError, ContractError, DiophLabError, ResourceCapError
 from .fixedreal import CVector, FixedReal, dioph_certify, parse_real
 from .harness import (
@@ -264,11 +258,8 @@ def _cmd_sieve_side(values: dict) -> int:
     samples = _get(values, "samples", _positive_int, 8)
     seed = _get(values, "seed", int, 1)
     header = ["N", "t1", "t2", "S_exact", "main_term", "E_bound"]
-    rows = []
-    for t1, t2 in congruence_pairs(q_cap):
-        sp = SieveSideParams.from_config(cfg, n_val, t1, t2, Q=q_cap)
-        res = sieve_side_counts(alpha, sp, cfg)
-        rows.append([n_val, t1, t2, res.s_exact, res.main_term, res.e_bound])
+    rows = [[n_val, t1, t2, res.s_exact, res.main_term, res.e_bound]
+            for t1, t2, res in sieve_side_rows(alpha, cfg, n_val, q_cap)]
     write_csv(out, header, rows, values)
     grid = [n_val // 10, n_val] if n_val >= 100 else [n_val]
     avg = average_error_check(grid, cfg, alpha_samples=samples, seed=seed)

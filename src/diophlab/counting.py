@@ -18,8 +18,9 @@ fast path covers ranges where the exact path would be too slow.  For d = 1
 both paths sum each prime's interior (p, r) pairs by dominance sums
 instead of visiting them.  For every d >= 2 the exact path skips them in
 the big-integer walk: one rank kernel decides them on exact integer ranks
-in numpy, pair by pair.  The walk serves only each prime's boundary pairs,
-and every pair of ``riemann_scan``.
+in numpy, pair by pair.  ``riemann_scan`` counts them in float64 with a
+stated error bound, for every d.  The walk serves only each prime's
+boundary pairs, and the few pairs the scan's bound cannot settle.
 """
 
 from __future__ import annotations
@@ -901,6 +902,74 @@ def witness_integral(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
                     b_f, cfg)
 
 
+def _scan_interior(a, b, cfg: ApproxConfig, ps: np.ndarray, eta: np.ndarray,
+                   primes: np.ndarray, i0: np.ndarray, i1: np.ndarray,
+                   e_max: int, points: int, delta: float):
+    """The grid hits and segments of the interior pairs [i0, i1) of each
+    prime of ps (thresholds eta) in float64, and the pairs it leaves to the
+    walk, as rows of ps and partner indices.
+
+    An interior pair (p, r) admits y = beta - r in [0, eta), beta = p
+    alpha, and dimension i the windows [k_i - x_i, k_i - x_i + eta)/c_i,
+    x_i = frac(c_i r) from the exact 128-bit product; each box k of
+    ``_boxes`` is the segment [max(0, lows), min(eta, highs)).  Grid point g
+    sits at t = (r - a p + y) points / ((b - a) p) = g, so a segment from
+    t_L to t_H holds ceil(t_H) - floor(t_L) - 1 points when neither end is
+    an integer.  The float t are within delta/5 of the exact ones (see
+    ``riemann_scan``); a pair with a t within delta of an integer, or a
+    segment within 2 delta of zero length, is left to the walk.  Pairs come
+    EXACT_PAIR_BUDGET at a time; with delta < 1/4, points < 2**46, so a
+    chunk's count fits int64.
+    """
+    craws = [ci.raw for ci in cfg.c.entries]
+    rs = primes[:int(i1.max())].tolist()
+    xs = [np.array([(r * c & FRAC_MASK) / SCALE for r in rs]) for c in craws]
+    ks = [np.arange(_window_count(c, e_max), dtype=np.float64)[:, None]
+          for c in craws]
+    # the boxes by all but their last k, which runs over one range
+    groups = [(head, [k[-1] for k in box]) for head, box in itertools.groupby(
+        _boxes(craws, e_max), key=lambda k: k[:-1])]
+    pf = ps.astype(np.float64)
+    a_f = float(Fraction(a))
+    scale = points / (float(Fraction(b) - Fraction(a)) * pf)
+    hits = intervals = 0
+    walk_rows, walk_idx = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for rows, reps, idx in _pair_chunks(i0, i1, EXACT_PAIR_BUDGET):
+        p, eta_r, s = (np.repeat(v[rows], reps) for v in (pf, eta, scale))
+        off = primes[idx] - a_f * p
+        lows, highs = [], []
+        for c, x, k in zip(cfg.c.floats(), xs, ks):
+            low = k - x[idx]
+            highs.append((low + eta_r) / c)
+            lows.append(np.divide(low, c, out=low))
+        count = np.zeros(idx.size)
+        segs = np.zeros(idx.size, dtype=np.int64)
+        walk = np.zeros(idx.size, dtype=bool)
+        for head, last in groups:
+            y_lo = reduce(np.maximum, [lows[i][k] for i, k in enumerate(head)],
+                          0.0)
+            y_hi = reduce(np.minimum, [highs[i][k]
+                                       for i, k in enumerate(head)], eta_r)
+            tail = slice(last[0], last[-1] + 1)
+            t_lo = (np.maximum(lows[-1][tail], y_lo) + off) * s
+            t_hi = (np.minimum(highs[-1][tail], y_hi) + off) * s
+            length = t_hi - t_lo
+            live = length > 2.0 * delta
+            near = ((np.abs(t_lo - np.rint(t_lo)) <= delta)
+                    | (np.abs(t_hi - np.rint(t_hi)) <= delta))
+            walk |= np.any((length > -2.0 * delta) & (~live | near), axis=0)
+            count += np.where(live, np.ceil(t_hi) - np.floor(t_lo) - 1.0,
+                              0.0).sum(axis=0)
+            segs += live.sum(axis=0)
+        keep = ~walk
+        hits += int(count.astype(np.int64)[keep].sum())
+        intervals += int(segs[keep].sum())
+        walk_rows.append(np.repeat(np.arange(rows.start, rows.stop),
+                                   reps)[walk])
+        walk_idx.append(idx[walk])
+    return hits, intervals, np.concatenate(walk_rows), np.concatenate(walk_idx)
+
+
 def riemann_scan(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
                  points: int) -> tuple[Fraction, int]:
     """Left-rule Riemann sum of the witness count on an exact dyadic grid.
@@ -908,17 +977,41 @@ def riemann_scan(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
     Grid: alpha_g = a + g*(b-a)/points, 0 <= g < points.  Returns the sum
     times the spacing (an exact Fraction) and the number of positive-length
     intervals scanned; |riemann - exact integral| <= spacing * intervals.
-    Needs points >= 1 and the window of ``witness_integral``.
+    A segment [L, H) of admissible alpha counts the grid points strictly
+    inside it, L < alpha_g < H: open at both ends.  Needs an int points >=
+    1, checked before any work, and the window of ``witness_integral``.
+
+    ``_scan_interior`` counts the interior pairs of ``_exact_ranges`` in
+    float64, with the error bound delta = 2**-48 points (1 + (a + b +
+    1)/(b - a)) in grid steps.  With u = 2**-53, in units of 1/p, rounding
+    costs r - a p at most u (2.01 a p + (b - a) p) and a window end, held
+    in [0, eta], at most u x_i/c_i + 8u <= u (r + 8); with the last steps
+    up to t <= points, every t is within u points (6 + (2.01 a + b + 4)/(b
+    - a)) <= delta/5 of the exact one.  A pair with a t within delta of an
+    integer or a segment within 2 delta of zero length is settled by the
+    segment walk, in integers, as is every boundary pair, and every pair
+    when delta >= 1/4.
     """
-    if points < 1:
-        raise ContractError(f"points={points} must be at least 1")
+    if isinstance(points, bool) or not isinstance(points, int) or points < 1:
+        raise ContractError(f"points={points!r} must be an int >= 1")
     ps, eta = _window_primes(a, b, cfg, N, table)
-    a_fr = Fraction(a)
-    width = Fraction(b) - a_fr
-    hits = intervals = 0
-    ranges = _pair_ranges(table.primes, ps, float(a_fr), float(Fraction(b)))
-    for _, D, segments in _exact_prime_segments(a, b, cfg, ps, eta,
-                                                table.primes, *ranges):
+    if not ps.size:
+        return Fraction(0), 0
+    primes = table.primes
+    a_fr, b_fr = Fraction(a), Fraction(b)
+    width = b_fr - a_fr
+    e, lo, i0, i1, hi = _exact_ranges(a, b, cfg, ps, eta, primes)
+    delta = math.inf if points >= 1 << 47 else math.ldexp(points, -48) * (
+        1.0 + float(a_fr + b_fr + 1) / float(width))
+    if not delta < 0.25:
+        i0 = i1 = hi
+    hits, intervals, rows, idx = _scan_interior(a, b, cfg, ps, eta, primes, i0,
+                                                i1, max(e), points, delta)
+    walk = [np.concatenate(v) for v in zip(
+        _boundary_ranges(ps, eta, lo, i0, i1, hi),
+        (ps[rows], eta[rows], idx, idx + 1))]
+    for _, D, segments in _exact_prime_segments(a, b, cfg, *walk[:2], primes,
+                                                *walk[2:]):
         aD = a_fr.numerator * D // a_fr.denominator
         # g > (L - aD) * points / (width * D);  g < (H - aD) * points / (...)
         den = width.numerator * D
@@ -1056,11 +1149,31 @@ def sieve_side_counts(alpha: FixedReal, sp: SieveSideParams, cfg: ApproxConfig,
     punctured box max|m| <= L, whose size is checked against ``cap`` first.
     """
     l_int = _box_half_width(sp.L, cfg.d, cap)
-    t1, t2, N = sp.t1, sp.t2, sp.N
-    mu = sp.mu_target
-    s_exact = sum(1 for m, v in product_set(alpha, cfg, N, mu)
-                  if m % t1 == 0 and v // m % t2 == 0)
-    main = N * mu ** (cfg.d + 1) / (t1 * t2)
+    return _sieve_side(alpha, sp, cfg, l_int,
+                       product_set(alpha, cfg, sp.N, sp.mu_target))
+
+
+def sieve_side_rows(alpha: FixedReal, cfg: ApproxConfig, N: int, Q: float,
+                    cap: int = DEFAULT_SIEVE_CAP):
+    """Yield (t1, t2, ``sieve_side_counts``) for every congruence pair t1 t2
+    <= Q, in the order of ``congruence_pairs``.  The box cap check and the
+    product set do not depend on the pair, so each is taken once, at the
+    first pair."""
+    members = None
+    for t1, t2 in congruence_pairs(Q):
+        sp = SieveSideParams.from_config(cfg, N, t1, t2, Q=Q)
+        if members is None:
+            l_int = _box_half_width(sp.L, cfg.d, cap)
+            members = product_set(alpha, cfg, N, sp.mu_target)
+        yield t1, t2, _sieve_side(alpha, sp, cfg, l_int, members)
+
+
+def _sieve_side(alpha: FixedReal, sp: SieveSideParams, cfg: ApproxConfig,
+                l_int: int, members: list[tuple[int, int]]) -> SieveSideCounts:
+    """``sieve_side_counts`` from the product set at (sp.N, sp.mu_target)."""
+    t1, t2, mu = sp.t1, sp.t2, sp.mu_target
+    s_exact = sum(1 for m, v in members if m % t1 == 0 and v // m % t2 == 0)
+    main = sp.N * mu ** (cfg.d + 1) / (t1 * t2)
     e_bound = _sieve_error_majorant(alpha, sp, cfg, l_int)
     return SieveSideCounts(s_exact=s_exact, main_term=main, e_bound=e_bound)
 

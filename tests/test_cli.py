@@ -1,7 +1,10 @@
 import pytest
 
-from diophlab import cli, harness
+from diophlab import cli, counting, harness
 from diophlab.cli import dispatch, fmt30
+from diophlab.counting import (ApproxConfig, SieveSideParams, congruence_pairs,
+                               sieve_side_counts)
+from diophlab.fixedreal import CVector, constant
 
 
 class TestFormatting:
@@ -85,7 +88,7 @@ class TestMalformedValues:
         def no_work(*args, **kwargs):
             raise AssertionError("sieve-side ran")
 
-        monkeypatch.setattr(cli, "sieve_side_counts", no_work)
+        monkeypatch.setattr(cli, "sieve_side_rows", no_work)
         monkeypatch.setattr(cli, "average_error_check", no_work)
         out = tmp_path / "sieve.csv"
         code = dispatch(["sieve-side", *self.INSTANCE, "--N", "2000",
@@ -195,6 +198,35 @@ class TestChecks:
         lines = out.read_text().splitlines()
         assert lines[0] == "N,t1,t2,S_exact,main_term,E_bound"
         assert len(lines) > 3
+
+    def test_sieve_side_builds_product_set_once(self, tmp_path, monkeypatch):
+        # the rows equal those of per-pair sieve_side_counts
+        built = []
+        product = counting.product_set
+
+        def spy(*args):
+            built.append(args)
+            return product(*args)
+
+        monkeypatch.setattr(counting, "product_set", spy)
+        monkeypatch.setattr(cli, "average_error_check",
+                            lambda *args, **kwargs: [])
+        out = tmp_path / "sieve.csv"
+        code = dispatch(["sieve-side", "--c", "phi", "--k", "1", "--eps",
+                         "0.1", "--alpha", "sqrt3", "--N", "2000",
+                         "--Q", "3", "--out", str(out)])
+        monkeypatch.undo()
+        assert code == 0
+        assert len(built) == 1
+        cfg = ApproxConfig(c=CVector((constant("phi"),), 1.0), epsilon=0.1,
+                           A=1.0, B=2.0)
+        want = []
+        for t1, t2 in congruence_pairs(3.0):
+            sp = SieveSideParams.from_config(cfg, 2000, t1, t2, Q=3.0)
+            res = sieve_side_counts(constant("sqrt3"), sp, cfg)
+            want.append(",".join(fmt30(v) for v in (
+                2000, t1, t2, res.s_exact, res.main_term, res.e_bound)))
+        assert out.read_text().splitlines()[1:-2] == want
 
     @pytest.mark.parametrize("flag, want", [([], 8), (["--samples", "3"], 3),
                                             (["--samples", "1"], 1)])

@@ -26,6 +26,7 @@ from diophlab.counting import (
     sieve_error_sum,
     sieve_side_counts,
     sieve_side_error_raw,
+    sieve_side_rows,
     target_growth,
     target_growth_alt,
     window_counts,
@@ -89,6 +90,72 @@ def reference_exact_walk(a, b, cfg, N, table):
             a, b, cfg, ps, cfg.slack_threshold(ps), primes, *ranges):
         total += Fraction(sum(h - l for l, h in segments), D)
     return total
+
+
+def reference_riemann_scan(a, b, cfg, N, table, points):
+    """The Riemann scan that walks every (p, r) pair with the segment walk
+    and counts each segment's grid points in integers."""
+    ps, eta = counting._window_primes(a, b, cfg, N, table)
+    a_fr = Fraction(a)
+    width = Fraction(b) - a_fr
+    hits = intervals = 0
+    ranges = _pair_ranges(table.primes, ps, float(a_fr), float(Fraction(b)))
+    for _, D, segments in counting._exact_prime_segments(a, b, cfg, ps, eta,
+                                                        table.primes, *ranges):
+        aD = a_fr.numerator * D // a_fr.denominator
+        # g > (L - aD) * points / (width * D);  g < (H - aD) * points / (...)
+        den = width.numerator * D
+        scale = points * width.denominator
+        intervals += len(segments)
+        for L, H in segments:
+            g_min = max((L - aD) * scale // den + 1, 0)
+            g_max = min(((H - aD) * scale - 1) // den, points - 1)
+            hits += max(g_max - g_min + 1, 0)
+    return hits * width / points, intervals
+
+
+def spy_walk(monkeypatch):
+    """Record the (p, r) pairs the segment walk visits, in a list."""
+    walk = counting._exact_prime_segments
+    walked = []
+
+    def spy(a, b, cfg, ps, eta, primes, lo_idx, hi_idx):
+        assert np.all(lo_idx < hi_idx)  # only nonempty ranges
+        for p, i, j in zip(ps.tolist(), lo_idx.tolist(), hi_idx.tolist()):
+            walked.extend((p, r) for r in primes[i:j].tolist())
+        return walk(a, b, cfg, ps, eta, primes, lo_idx, hi_idx)
+
+    monkeypatch.setattr(counting, "_exact_prime_segments", spy)
+    return walked
+
+
+def near_tie_config(p, r, side, eps=0.02):
+    """A d = 2 instance on [1, 2] whose interior pair (p, r) has dimension
+    1's lower end L_1 within e = eta_p 2**128 of dimension 0's upper end U_0.
+
+    With raw slopes c_i and B = 2**128, dimension 0's window q_0 = floor(c_0
+    r) ends at beta = (q_0 B + e)/c_0 and dimension 1's window q_1 starts at
+    q_1 B/c_1; they differ by -delta/(c_0 c_1) for delta = c_1 (q_0 B + e) -
+    c_0 q_1 B.  c_0 is sqrt(2), and q_1 and c_1 are the first that give 0 <
+    side delta < e: a gap after U_0 for side -1, an overlap for side +1, both
+    of 2**-128 eta_p/c_1 or less in units of 1/p.  Returns the config and
+    delta / e."""
+    big = 1 << 128
+    c0 = constant("sqrt2")
+    probe = ApproxConfig(c=CVector((c0, c0), 2.0), epsilon=eps, A=1.0, B=2.0)
+    e = int(math.ldexp(probe.slack_threshold(p), 128))
+    m = (c0.raw * r // big) * big + e
+    for q1 in range(r, 4 * r):
+        rest = c0.raw * q1 * big % m
+        delta = -rest if side < 0 else m - rest
+        if 0 < side * delta < e:
+            break
+    else:
+        raise AssertionError("no near tie for this pair")
+    c1 = (c0.raw * q1 * big + delta) // m
+    assert c1 * m - c0.raw * q1 * big == delta
+    c = CVector((c0, FixedReal(c1)), 2.0)
+    return ApproxConfig(c=c, epsilon=eps, A=1.0, B=2.0), delta / e
 
 
 def reference_fast_general(primes, ps, a, b, cfg, pair_budget=1 << 14):
@@ -607,6 +674,22 @@ class TestWitnessIntegral:
         else:
             assert len(walked) < 0.05 * int((hi - lo).sum())
 
+    @pytest.mark.parametrize("p, r", [(11, 13), (13, 17)])
+    @pytest.mark.parametrize("side", [-1, 1], ids=["gap", "overlap"])
+    def test_exact_rank_near_ties_of_lower_and_upper_ends(self, table_small,
+                                                          p, r, side):
+        # L_1 against U_0 within e of a tie, at an interior pair: the rank
+        # kernel decides L_j < U_i (i < j) by its v = c_j thresholds, which
+        # one e more or less would flip here
+        cfg, share = near_tie_config(p, r, side)
+        assert 0 < side * share < 1
+        c0, c1 = (ci.to_fraction() for ci in cfg.c.entries)
+        eta = Fraction(cfg.slack_threshold(p))
+        assert r * c0 % 1 < eta  # U_0 > 0: the window k_0 = 0 meets [0, eta)
+        assert p <= r and r + eta <= 2 * p and min(c0, c1) * r >= eta
+        got = witness_integral(1.0, 2.0, cfg, p, table_small, method="exact")
+        assert got == reference_exact_walk(1.0, 2.0, cfg, p, table_small)
+
     @settings(max_examples=100)
     @given(slopes=st.one_of(
                st.lists(st.one_of(dyadic_slopes(), st.floats(2.0**-8, 4.0)),
@@ -920,15 +1003,18 @@ class TestWitnessIntegral:
 
     @pytest.mark.parametrize("a, b, points", [
         (1.0, 2.0, 0), (1.0, 2.0, -5), (0.5, 1.5, 100), (1.0, 2.5, 100),
-        (1.5, 1.5, 100), (1.75, 1.25, 100)])
+        (1.5, 1.5, 100), (1.75, 1.25, 100), (1.0, 1.5, 1e4), (1.0, 1.5, 10.5),
+        (1.0, 1.5, True)])
     def test_riemann_rejects_bad_input_before_any_work(self, golden_cfg,
                                                         table_small,
                                                         monkeypatch, a, b,
                                                         points):
+        # a float or bool points would change the grid
         def no_walk(*args):
             raise AssertionError("segments walked")
 
-        monkeypatch.setattr(counting, "_exact_prime_segments", no_walk)
+        for name in ("_exact_ranges", "_scan_interior", "_exact_prime_segments"):
+            monkeypatch.setattr(counting, name, no_walk)
         with pytest.raises(ContractError):
             riemann_scan(a, b, golden_cfg, 1000, table_small, points)
 
@@ -942,7 +1028,7 @@ class TestWitnessIntegral:
 
         for name in ("_exact_ranges", "_pair_ranges", "_exact_prime_segments",
                      "_d1_exact_sum", "_rank_exact_sum", "_d1_band_sum",
-                     "_box_sum"):
+                     "_box_sum", "_scan_interior"):
             monkeypatch.setattr(counting, name, no_work)
         for cfg in (golden_cfg, two_dim_cfg):
             with pytest.raises(ContractError, match="multiples of 2"):
@@ -963,6 +1049,96 @@ class TestWitnessIntegral:
         exact = witness_integral(1.0, 2.0, golden_cfg, 2000, table_small,
                                  method="exact")
         assert abs(riemann - exact) <= Fraction(intervals, points)
+
+    @settings(max_examples=70)
+    @given(slopes=st.integers(1, 3).flatmap(lambda d: st.lists(st.one_of(
+               NAMED_SLOPES, dyadic_slopes(),
+               st.sampled_from((2.0**-68, 2.0**-10))), min_size=d, max_size=d)),
+           window=st.one_of(dyadic_windows(), PRIME_END_WINDOWS),
+           N=st.one_of(st.integers(2**8, 2**10), st.integers(2, 2**10)),
+           points=st.one_of(st.integers(0, 40).map(lambda k: 2**k),
+                            st.integers(0, 12).map(lambda k: 10**k)),
+           eps_share=st.floats(1e-3, 1.0, exclude_max=True))
+    def test_riemann_matches_segment_walk(self, table_small, slopes, window,
+                                          N, points, eps_share):
+        # dyadic slopes and windows and grids of 2**k and 10**k points put
+        # segment ends on grid points; past about 2**40 points every pair is
+        # walked
+        d = len(slopes)
+        c = CVector(tuple(_slope(s) for s in slopes), float(d))
+        cfg = ApproxConfig(c=c, epsilon=eps_share / (d * (3 * d + 2)), A=1.0,
+                           B=2.5)
+        # the walk's work grows like (1 + c1)..(1 + cd) N**2
+        size = math.prod(1 + math.ceil(ci) for ci in c.floats())
+        N = max(2, min(N, math.isqrt(2**22 // size)))
+        a, b = window
+        got = riemann_scan(a, b, cfg, N, table_small, points)
+        assert got == reference_riemann_scan(a, b, cfg, N, table_small, points)
+
+    @pytest.mark.parametrize("points", [2**10, 2**20])
+    def test_riemann_settles_grid_ties_exactly(self, table_small, monkeypatch,
+                                               points):
+        # on [1, 2] a pair r = p starts on grid point 0, and the slope 2
+        # puts segment ends at (r + k/2)/p, on the grid for p = 2 (r = 3:
+        # 3/2 and 7/4) and for p = 5 (r = 7: 3/2)
+        cfg = ApproxConfig(c=CVector((FixedReal.from_float(2.0),), 1.0),
+                           epsilon=0.1, A=1.0, B=2.0)
+        a, b, N = 1.0, 2.0, 2**8
+        walked = spy_walk(monkeypatch)
+        got = riemann_scan(a, b, cfg, N, table_small, points)
+        monkeypatch.undo()
+        assert got == reference_riemann_scan(a, b, cfg, N, table_small, points)
+        # the interior pairs with a segment end on a grid point 1 + g/points
+        primes = table_small.primes
+        ps, eta = counting._window_primes(a, b, cfg, N, table_small)
+        _, _, i0, i1, _ = counting._exact_ranges(a, b, cfg, ps, eta, primes)
+        rows = np.repeat(np.arange(ps.size), i1 - i0)
+        idx = np.concatenate([np.arange(i, j) for i, j in zip(i0, i1)])
+        ties = {(p, r) for (p, D, segments), r in zip(
+                    counting._exact_prime_segments(a, b, cfg, ps[rows],
+                                                   eta[rows], primes, idx,
+                                                   idx + 1),
+                    primes[idx].tolist())
+                if any((end - D) * points % D == 0
+                       for segment in segments for end in segment)}
+        assert {(2, 2), (2, 3), (5, 5), (5, 7)} <= ties
+        assert ties <= set(walked)  # settled by the walk, in integers
+
+    @pytest.mark.parametrize("side", [-1, 1], ids=["gap", "overlap"])
+    def test_riemann_settles_near_empty_segments(self, table_small, side):
+        # a segment of length 2**-128 eta_p/c_1 or less at the pair (13, 17),
+        # or none: float64 cannot tell, the walk can
+        cfg, _ = near_tie_config(13, 17, side)
+        for points in (10**6, 2**30):
+            got = riemann_scan(1.0, 2.0, cfg, 13, table_small, points)
+            assert got == reference_riemann_scan(1.0, 2.0, cfg, 13,
+                                                 table_small, points)
+
+    def test_riemann_walks_every_pair_past_float_grid(self, golden_cfg,
+                                                      table_small,
+                                                      monkeypatch):
+        points = 2**60
+        walked = spy_walk(monkeypatch)
+        got = riemann_scan(1.0, 2.0, golden_cfg, 300, table_small, points)
+        monkeypatch.undo()
+        assert got == reference_riemann_scan(1.0, 2.0, golden_cfg, 300,
+                                             table_small, points)
+        primes = table_small.primes
+        lo, hi = _pair_ranges(primes, primes[primes <= 300], 1.0, 2.0)
+        assert len(walked) == len(set(walked)) == int((hi - lo).sum())
+
+    def test_riemann_scan_memory(self, golden_cfg, table_small):
+        # the benchmark's seed-1 scan, and at four times its N: the pairs
+        # come in chunks, so the peak stays flat
+        riemann_scan(1.125, 1.625, golden_cfg, 2**10, table_small, 10**6)
+        for N in (2**11, 2**13):
+            tracemalloc.start()
+            try:
+                riemann_scan(1.125, 1.625, golden_cfg, N, table_small, 10**6)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * 2**20
 
 
 class TestGrowthTarget:
@@ -1120,6 +1296,28 @@ class TestProductSet:
 
 
 class TestSieveSide:
+    def test_rows_build_product_set_once(self, golden_cfg, two_dim_cfg,
+                                         monkeypatch):
+        built = []
+        product = counting.product_set
+
+        def spy(*args):
+            built.append(args)
+            return product(*args)
+
+        alpha = constant("sqrt3")
+        for cfg, N, Q in ((golden_cfg, 2000, 3.0), (two_dim_cfg, 5000, 2.5),
+                          (golden_cfg, 500, 0.5)):
+            monkeypatch.setattr(counting, "product_set", spy)
+            rows = list(sieve_side_rows(alpha, cfg, N, Q))
+            monkeypatch.undo()
+            assert len(built) == min(1, len(rows))
+            built.clear()
+            assert rows == [
+                (t1, t2, sieve_side_counts(alpha, SieveSideParams.from_config(
+                    cfg, N, t1, t2, Q=Q), cfg))
+                for t1, t2 in congruence_pairs(Q)]
+
     def test_trivial_when_mu_large(self, golden_cfg):
         sp = SieveSideParams(N=100, mu_target=1.0, Q=10.0, L=1.0, t1=1, t2=1)
         res = sieve_side_counts(constant("sqrt3"), sp, golden_cfg)
