@@ -15,10 +15,12 @@ The integral of the witness-count over alpha decomposes into measures of
 unions of rational intervals; the exact path below computes it in integer
 arithmetic with a per-prime common denominator, and a documented float64
 fast path covers ranges where the exact path would be too slow.  For d = 1
-both paths sum each prime's interior (p, r) pairs by dominance sums
-instead of visiting them.  For every d >= 2 the exact path skips them in
-the big-integer walk: one rank kernel decides them on exact integer ranks
-in numpy, pair by pair.  ``riemann_scan`` counts them in float64 with a
+both paths, and for d = 2 the fast path, sum each prime's interior (p, r)
+pairs without visiting them: by dominance sums at d = 1, by one sweep over
+the primes per ramp family at d = 2.  For every d >= 2 the exact path skips
+them in the big-integer walk: one rank kernel decides them on exact
+integer ranks in numpy, pair by pair.  The fast path for d >= 3 visits
+every pair.  ``riemann_scan`` counts the interior pairs in float64 with a
 stated error bound, for every d.  The walk serves only each prime's
 boundary pairs, and the few pairs the scan's bound cannot settle.
 """
@@ -284,17 +286,26 @@ def revalidate_tuple(tup: SolutionTuple, alpha: FixedReal,
 # Exact integral over alpha
 # ----------------------------------------------------------------------
 
-def _window_primes(a, b, cfg: ApproxConfig, N: int, table: ArithTable):
-    """The primes p <= N and their slack thresholds, once the window ends
-    are checked, and a table reaching every partner r <= b*N + 1.  The ends
-    must satisfy A <= a < b <= B and be dyadic, with denominators up to
-    2**128: then a times D = p 2**128 prod(c_raw), the scale of every exact
-    path, is an integer."""
+def _check_integral(a, b, cfg: ApproxConfig, method: str = "auto"):
+    """The checks of every integral entry, made before any work: a known
+    method, and window ends with A <= a < b <= B that are dyadic, with
+    denominators up to 2**128; then a times D = p 2**128 prod(c_raw), the
+    scale of every exact path, is an integer.  Returns a, b as Fractions."""
+    if method not in ("auto", "exact", "fast"):
+        raise ContractError(f"unknown method {method!r}")
     a_fr, b_fr = Fraction(a), Fraction(b)
     if SCALE % a_fr.denominator or SCALE % b_fr.denominator:
         raise ContractError("window ends must be multiples of 2**-128")
     if not (Fraction(cfg.A) <= a_fr < b_fr <= Fraction(cfg.B)):
         raise ContractError("need A <= a < b <= B")
+    return a_fr, b_fr
+
+
+def _window_primes(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
+                   method: str = "auto"):
+    """The primes p <= N and their slack thresholds, once ``_check_integral``
+    passes, and a table reaching every partner r <= b*N + 1."""
+    b_fr = _check_integral(a, b, cfg, method)[1]
     need = int(math.ceil(float(b_fr) * N)) + 1
     if need > table.limit:
         raise RangeError(f"table limit {table.limit} too small; need >= {need}")
@@ -424,7 +435,8 @@ def _box_sum(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
              cfg: ApproxConfig) -> float:
     """Sum of the window-integral terms of the pairs (pf[j], primes[i]),
     i in [lo_idx[j], hi_idx[j]), for any d >= 1, streamed box by box;
-    eta[j] is the slack threshold of pf[j].
+    eta[j] is the slack threshold of pf[j].  It sums the boundary pairs of
+    the d <= 2 fast kernels, and every pair for d >= 3.
 
     A pair (p, r) admits alpha in [lo, hi) = [max(r/p, a), min((r + eta)/p,
     b)), empty when hi <= lo; dimension i admits the windows
@@ -559,6 +571,21 @@ def _dominance_sums(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return count, total
 
 
+def _float_ranges(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
+                  a: float, b: float, cfg: ApproxConfig):
+    """The interior test of the fast kernels in float64: lo <= i0 <= i1 <=
+    hi per prime, as ``_exact_ranges`` gives them, and its three ends ia, ie
+    and ib.  [i0, i1) holds the j with ia <= j (r >= a p), ie <= j (r >=
+    eta/min c_i) and j < ib (r + eta <= b p).  The thresholds stay floats,
+    as eta/c overflows int64 for tiny c."""
+    lo, hi = _pair_ranges(primes, pf, a, b)
+    ia = np.searchsorted(primes, a * pf, side="left")
+    ie = np.searchsorted(primes, eta / min(cfg.c.floats()), side="left")
+    ib = np.searchsorted(primes, b * pf - eta, side="right")
+    i0 = np.minimum(np.maximum(ia, ie), hi)
+    return lo, i0, np.maximum(ib, i0), hi, (ia, ie, ib)
+
+
 def _d1_band_sum(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
                  a: float, b: float, cfg: ApproxConfig) -> float:
     """The d=1 integral over p in pf (thresholds eta), interior pairs unvisited.
@@ -570,11 +597,7 @@ def _d1_band_sum(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
     """
     c_fixed = cfg.c.entries[0]
     c = c_fixed.to_float()
-    lo, hi = _pair_ranges(primes, pf, a, b)
-    # interior pairs: float thresholds, as eta/c overflows int64 for tiny c
-    i0 = np.minimum(np.searchsorted(primes, np.maximum(a * pf, eta / c),
-                                    side="left"), hi)
-    i1 = np.maximum(np.searchsorted(primes, b * pf - eta, side="right"), i0)
+    lo, i0, i1, hi, _ = _float_ranges(primes, pf, eta, a, b, cfg)
     edge = _box_sum(primes, *_boundary_ranges(pf, eta, lo, i0, i1, hi), a, b,
                     cfg)
 
@@ -592,6 +615,109 @@ def _d1_band_sum(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
     t[inside] = np.searchsorted(x[order], u[inside], side="left")
     n_at, s_at = _dominance_sums(rank, i0, i1, t, x[None])
     inner = (s_at[0] - u * n_at) @ w / (c * pf)
+    return math.fsum(np.append(inner, edge))
+
+
+def _below(t: np.ndarray, x):
+    """[start, stop) of the i with t[i] < x, per key x, for a monotone t."""
+    if t[0] <= t[-1]:
+        return 0, np.searchsorted(t, x, side="left")
+    return t.size - np.searchsorted(t[::-1], x, side="left"), t.size
+
+
+def _d2_band_sum(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
+                 a: float, b: float, cfg: ApproxConfig) -> float:
+    """The d=2 integral over p in pf (thresholds eta), interior pairs unvisited.
+
+    An interior pair adds h(x_1, x_2)/p, x_i = frac(c_i r): the measure of
+    the t in [0, eta) with frac(x_i + c_i t) < eta for both i.  Dimension
+    2's windows (k - x_2 + [0, eta))/c_2, expanded over their ends, give
+
+      c_1 h = A(x_2) F(x_1 + c_1 eta) - [x_2 < eta] F(x_1) + sum over k
+              and o in {0, eta} of (-1 at o = 0, +1 at o = eta) [k + o -
+              c_2 eta < x_2 < k + o] F(w + (c_1/c_2)(k + o)),
+
+    with the ramps F(y) = sum_m [(y - m)_+ - (y - m - eta)_+] of
+    ``_d1_ramps``, w = x_1 - (c_1/c_2) x_2, A(x_2) = sum_k ([x_2 > k - c_2
+    eta] - [x_2 > k + eta - c_2 eta]) and k < floor(c_2 eta) + 2.  So c_1 h
+    is a signed sum of J families [v < x_2 < V] (y - u)_+, y in {x_1, w},
+    with v, V and u affine in eta; those no prime meets are dropped, equal
+    ones merged.  Keys x_i = 1.0 (``frac_multiples`` rounds up near 1) are
+    read as 0, since h is 1-periodic.
+
+    eta must be nonincreasing in p; ``slack_threshold`` is on every tested
+    exponent, and is read through a running minimum.  Then the ends ia, ie
+    and ib of ``_float_ranges``, and every v, V and u, are monotone in p, so
+    each condition on a pair holds on a prefix or a suffix of the primes,
+    and each r counts for one run of primes per family.  searchsorted
+    finds the runs, and difference arrays of the count and of the sum of y,
+    cumulative over p, give each prime's S - u n: O(J pi(bN) log pi(N))
+    time and O(pi(bN)) memory.  The boundary pairs go to ``_box_sum``.
+    """
+    eta = np.minimum.accumulate(eta)
+    (c1f, c2f), (c1, c2) = cfg.c.entries, cfg.c.floats()
+    lo, i0, i1, hi, (ia, ie, ib) = _float_ranges(primes, pf, eta, a, b, cfg)
+    edge = _box_sum(primes, *_boundary_ranges(pf, eta, lo, i0, i1, hi), a, b,
+                    cfg)
+
+    e_max = int(math.ldexp(eta[0], FRAC_BITS))
+    n1, n2 = (_window_count(c.raw, e_max) for c in (c1f, c2f))
+    rho = c1 / c2
+    # (weight, y, s, v, V) is weight [v < x_2 < V] F(y + s), y = 0 for x_1
+    # and 1 for w; a pair (e0, e1) stands for e0 + e1 eta, None for no bound
+    raw = [(-1, 0, (0.0, 0.0), None, (0.0, 1.0))]
+    for k, sig in itertools.product(range(n2), (0, 1)):
+        v = (k, sig - c2)
+        raw += [(1 - 2 * sig, 0, (0.0, c1), v, None),
+                (2 * sig - 1, 1, (rho * k, rho * sig), v, (k, sig))]
+    families = {}
+    for weight, y, s, v, V in raw:
+        if v is not None:
+            t = v[0] + v[1] * eta
+            if t.min() >= 1.0:
+                continue
+            v = v if t.max() >= 0.0 else None
+        if V is not None:
+            t = V[0] + V[1] * eta
+            if t.max() <= 0.0:
+                continue
+            V = V if t.min() < 1.0 else None
+        group = families.setdefault((v, V), {})
+        for m, tau in itertools.product(range(n1), (0, 1)):
+            u = (m - s[0], tau - s[1])
+            if (u[0] + u[1] * eta).min() < 1.0:  # y < 1, so u >= 1 adds 0
+                group[y, u] = group.get((y, u), 0) + weight * (1 - 2 * tau)
+
+    n, size = int(i1.max()), pf.size
+    x1, x2 = (frac_multiples(c, primes[:n]) % 1.0 for c in (c1f, c2f))
+    ys = (x1, x1 - rho * x2)
+    j = np.arange(n)
+    # the primes for which r = primes[j] is interior
+    interior = [_below(ia, j + 1), _below(ie, j + 1), _below(-ib, -j)]
+    s_diff, un = np.zeros(size + 1), np.zeros(size)
+    for (v, V), group in families.items():
+        runs = list(interior)
+        if v is not None:
+            runs.append(_below(v[0] + v[1] * eta, x2))
+        if V is not None:
+            runs.append(_below(-V[0] - V[1] * eta, -x2))
+        starts, stops = zip(*runs)
+        first = reduce(np.maximum, starts, np.zeros(n, np.int64))
+        last = reduce(np.minimum, stops, np.full(n, size))
+        for (y, u), weight in group.items():
+            if not weight:
+                continue
+            u_p = u[0] + u[1] * eta
+            start, stop = _below(u_p, ys[y])
+            start, stop = np.maximum(first, start), np.minimum(last, stop)
+            keep = start < stop
+            start, stop, yk = start[keep], stop[keep], ys[y][keep]
+            count = np.cumsum(np.bincount(start, minlength=size + 1)
+                              - np.bincount(stop, minlength=size + 1))
+            s_diff += weight * (np.bincount(start, yk, size + 1)
+                                - np.bincount(stop, yk, size + 1))
+            un += weight * u_p * count[:size]
+    inner = (np.cumsum(s_diff)[:size] - un) / (c1 * pf)
     return math.fsum(np.append(inner, edge))
 
 
@@ -878,16 +1004,15 @@ def witness_integral(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
     float64); each visits only the nonempty boundary ranges.  For every d
     >= 2 the exact path, ``_rank_exact_sum``, visits the interior pairs in
     numpy on exact integer ranks, with no big-integer step per pair, and
-    walks only the boundary ranges; the fast path sums every pair with
-    ``_box_sum``.  Every path reads the thresholds of the primes p <= N,
-    taken once.  The window ends a, b must be multiples of 2**-128, checked
-    before any work.
+    walks only the boundary ranges.  The fast path leaves the interior
+    pairs unvisited at d = 2 (``_d2_band_sum``), and sums every pair with
+    ``_box_sum`` for d >= 3.  Every path reads the thresholds of the primes
+    p <= N, taken once.  ``_check_integral`` checks the method and the
+    window ends before any work.
     """
+    ps, eta = _window_primes(a, b, cfg, N, table, method)
     if method == "auto":
         method = "exact" if N <= EXACT_INTEGRAL_DEFAULT_LIMIT else "fast"
-    if method not in ("exact", "fast"):
-        raise ContractError(f"unknown method {method!r}")
-    ps, eta = _window_primes(a, b, cfg, N, table)
     if not ps.size:  # no prime p <= N: every kernel below needs one
         return Fraction(0) if method == "exact" else 0.0
     primes = table.primes
@@ -896,8 +1021,9 @@ def witness_integral(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
         return (_d1_exact_sum if cfg.d == 1 else _rank_exact_sum)(
             a, b, cfg, ps, eta, primes)
     pf = ps.astype(np.float64)
-    if cfg.d == 1:
-        return _d1_band_sum(primes, pf, eta, a_f, b_f, cfg)
+    if cfg.d <= 2:
+        return (_d1_band_sum if cfg.d == 1 else _d2_band_sum)(
+            primes, pf, eta, a_f, b_f, cfg)
     return _box_sum(primes, pf, eta, *_pair_ranges(primes, pf, a_f, b_f), a_f,
                     b_f, cfg)
 

@@ -193,7 +193,8 @@ def frac_raw_parts(theta: FixedReal, n: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def frac_multiples(theta: FixedReal, n: np.ndarray) -> np.ndarray:
-    """frac(n * theta) in [0, 1) as float64, after exact reduction."""
+    """frac(n * theta) as float64, after exact reduction: in [0, 1], as a
+    fraction within 2**-54 of 1 rounds to 1.0."""
     hi, lo = frac_raw_parts(theta, n)
     return hi.astype(np.float64) * 2.0**-64 + lo.astype(np.float64) * 2.0**-128
 

@@ -21,6 +21,7 @@ from .arith import ArithTable, build_arith_table
 from .counting import (
     ApproxConfig,
     WindowParams,
+    _check_integral,
     count_witnesses,
     sieve_error_sum,
     target_growth,
@@ -134,7 +135,9 @@ def lower_bound_check(a: float, b: float, n_grid: list[int], cfg: ApproxConfig,
 
     ratio = integral / ((b-a) * target).  The strict nondecreasing flag and
     the pinned-drift regression flag both cover the top half of the grid.
+    The method and the window ends are checked before the table is built.
     """
+    _check_integral(a, b, cfg, method)
     table = _grid_table(n_grid, table, b)
 
     def one_row(N: int) -> HarnessRow:

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -261,7 +262,25 @@ GENERAL_SLOPES = ("phi", "sqrt2", "sqrt3", 0.1875, 3.25)
 
 
 def _slope(name):
+    if isinstance(name, FixedReal):
+        return name
     return constant(name) if isinstance(name, str) else FixedReal.from_float(name)
+
+
+#: 1 - 2**-128: frac(c r) = 1 - r 2**-128 rounds to 1.0 in float64.
+ROUNDS_TO_ONE = FixedReal((1 << 128) - 1)
+
+#: Slopes for the d=2 kernel comparison: the named constants, a dyadic
+#: below 1 (eta/c above a p at small p), one with c*eta > 2, 2**-10, where
+#: most pairs are boundary pairs, and one whose fractions round to 1.0.
+D2_SLOPES = ("phi", "sqrt2", "sqrt3", 0.1875, 3.25, 2.0**-10, ROUNDS_TO_ONE)
+
+
+def box_reference(primes, ps, a, b, cfg):
+    """The fast integral by ``_box_sum`` over every pair, interior or not."""
+    pf = ps.astype(np.float64)
+    return counting._box_sum(primes, pf, cfg.slack_threshold(pf),
+                             *_pair_ranges(primes, pf, a, b), a, b, cfg)
 
 
 #: Slopes for the d=1 kernel comparison: the named constants, a dyadic
@@ -810,12 +829,68 @@ class TestWitnessIntegral:
         assert peak < 32 * 2**20
 
     def test_fast_matches_exact_d2(self, two_dim_cfg, table_small):
-        for N in (2000, 2**13):
-            ex = witness_integral(1.0, 2.0, two_dim_cfg, N, table_small,
+        for a, b, N in ((1.0, 2.0, 2000), (1.0, 2.0, 2**13),
+                        (1.0, 1.5, 2**15)):
+            ex = witness_integral(a, b, two_dim_cfg, N, table_small,
                                   method="exact")
-            fa = witness_integral(1.0, 2.0, two_dim_cfg, N, table_small,
+            fa = witness_integral(a, b, two_dim_cfg, N, table_small,
                                   method="fast")
             assert fa == pytest.approx(float(ex), rel=1e-9)
+
+    @settings(max_examples=60)
+    @given(slopes=st.lists(st.sampled_from(D2_SLOPES), min_size=2,
+                           max_size=2),
+           window=dyadic_windows(), N=st.integers(2, 2**12),
+           eps_share=st.floats(1e-3, 1.0, exclude_max=True))
+    def test_fast_d2_matches_box_kernel(self, table_small, slopes, window, N,
+                                        eps_share):
+        cfg = ApproxConfig(c=CVector(tuple(map(_slope, slopes)), 2.0),
+                           epsilon=eps_share / 16, A=1.0, B=2.0)
+        a, b = window
+        got = witness_integral(a, b, cfg, N, table_small, method="fast")
+        primes = table_small.primes
+        want = box_reference(primes, primes[primes <= N], a, b, cfg)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("slopes, N", [
+        ((0.1875, "sqrt2"), 2**12), (("phi", 0.1875), 2**12),
+        ((2.0**-10, "sqrt2"), 2**10), (("phi", 2.0**-10), 2**10),
+        ((ROUNDS_TO_ONE, "sqrt3"), 2**12), (("sqrt2", ROUNDS_TO_ONE), 2**12)],
+        ids=["small-first", "small-second", "tiny-first", "tiny-second",
+             "rounded-first", "rounded-second"])
+    def test_fast_d2_regressions(self, table_small, slopes, N):
+        # small slopes put the interior's lower end max(p, eta/c_min) on
+        # eta/c_min for the small primes, where it falls as p grows; with 1 -
+        # 2**-128 every key frac(c r) is 1.0, which h reads as 0
+        cfg = ApproxConfig(c=CVector(tuple(map(_slope, slopes)), 2.0),
+                           epsilon=0.05 / 16, A=1.0, B=2.0)
+        primes = table_small.primes
+        ps = primes[primes <= N]
+        if ROUNDS_TO_ONE not in slopes:
+            lower = cfg.slack_threshold(ps) / min(cfg.c.floats())
+            assert np.any(np.diff(np.maximum(ps, lower)) < 0.0)
+        got = witness_integral(1.0, 2.0, cfg, N, table_small, method="fast")
+        want = box_reference(primes, ps, 1.0, 2.0, cfg)
+        assert got == pytest.approx(want, rel=1e-12)
+        ex = witness_integral(1.0, 2.0, cfg, N, table_small, method="exact")
+        assert got == pytest.approx(float(ex), rel=1e-9)
+
+    def test_fast_d2_at_2_18_under_a_second(self, two_dim_cfg, table_big):
+        witness_integral(1.0, 2.0, two_dim_cfg, 2**10, table_big, method="fast")
+        start = time.perf_counter()
+        witness_integral(1.0, 2.0, two_dim_cfg, 2**18, table_big, method="fast")
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("d, k, eps", [
+        (1, 1.0, 0.1), (1, 1.0, 0.05), (1, 1.0, 0.1998), (2, 2.0, 0.05),
+        (2, 2.0, 0.025), (3, 3.0, 0.02)])
+    def test_slack_threshold_nonincreasing(self, table_big, d, k, eps):
+        # _d2_band_sum needs eta_p nonincreasing in p: the exponents of the
+        # tests and of the benchmark, over the primes below 2**21
+        cfg = ApproxConfig(c=CVector((constant("phi"),) * d, k), epsilon=eps,
+                           A=1.0, B=2.0)
+        eta = cfg.slack_threshold(table_big.primes[table_big.primes < 2**21])
+        assert np.all(np.diff(eta) <= 0.0)
 
     @settings(max_examples=40)
     @given(cfg=random_configs(), window=dyadic_windows(),
@@ -1028,7 +1103,7 @@ class TestWitnessIntegral:
 
         for name in ("_exact_ranges", "_pair_ranges", "_exact_prime_segments",
                      "_d1_exact_sum", "_rank_exact_sum", "_d1_band_sum",
-                     "_box_sum", "_scan_interior"):
+                     "_d2_band_sum", "_box_sum", "_scan_interior"):
             monkeypatch.setattr(counting, name, no_work)
         for cfg in (golden_cfg, two_dim_cfg):
             with pytest.raises(ContractError, match="multiples of 2"):

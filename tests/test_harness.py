@@ -2,6 +2,7 @@ import itertools
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -76,6 +77,20 @@ class TestLowerBound:
         for table in (None, table_small):
             with pytest.raises(ContractError):
                 lower_bound_check(1.0, 2.0, [], golden_cfg, table=table)
+
+    @pytest.mark.parametrize("a, method, message", [
+        (1.0, "bogus", "unknown method"),
+        (Fraction(4, 3), "fast", "multiples of 2"),
+        (0.5, "exact", "need A <= a < b <= B")],
+        ids=["method", "non-dyadic", "outside"])
+    def test_input_checked_before_the_table(self, golden_cfg, monkeypatch, a,
+                                            method, message):
+        def no_build(limit):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(harness, "build_arith_table", no_build)
+        with pytest.raises(ContractError, match=message):
+            lower_bound_check(a, 2.0, [2**22], golden_cfg, method=method)
 
 
 class TestGridChecks:
