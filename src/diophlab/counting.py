@@ -16,13 +16,14 @@ unions of rational intervals; the exact path below computes it in integer
 arithmetic with a per-prime common denominator, and a documented float64
 fast path covers ranges where the exact path would be too slow.  For d = 1
 both paths, and for d = 2 the fast path, sum each prime's interior (p, r)
-pairs without visiting them: by dominance sums at d = 1, by one sweep over
-the primes per ramp family at d = 2.  For every d >= 2 the exact path skips
-them in the big-integer walk: one rank kernel decides them on exact
-integer ranks in numpy, pair by pair.  The fast path for d >= 3 visits
-every pair.  ``riemann_scan`` counts the interior pairs in float64 with a
-stated error bound, for every d.  The walk serves only each prime's
-boundary pairs, and the few pairs the scan's bound cannot settle.
+pairs without visiting them: one sweep over the primes per ramp,
+``_sweep``, in float64 or on exact integer ranks.  For every d >= 2 the
+exact path skips them in the big-integer walk: one rank kernel decides
+them on exact integer ranks in numpy, pair by pair.  The fast path for
+d >= 3 visits every pair.  ``riemann_scan`` counts the interior pairs in
+float64 with a stated error bound, for every d.  The walk serves only
+each prime's boundary pairs, and the few pairs the scan's bound cannot
+settle.
 """
 
 from __future__ import annotations
@@ -435,8 +436,9 @@ def _box_sum(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
              cfg: ApproxConfig) -> float:
     """Sum of the window-integral terms of the pairs (pf[j], primes[i]),
     i in [lo_idx[j], hi_idx[j]), for any d >= 1, streamed box by box;
-    eta[j] is the slack threshold of pf[j].  It sums the boundary pairs of
-    the d <= 2 fast kernels, and every pair for d >= 3.
+    eta[j] is the slack threshold of pf[j], at most the one of p = 2, at
+    which the candidates are counted.  It sums the boundary pairs of
+    ``_band_sum`` (d <= 2), and every pair for d >= 3.
 
     A pair (p, r) admits alpha in [lo, hi) = [max(r/p, a), min((r + eta)/p,
     b)), empty when hi <= lo; dimension i admits the windows
@@ -513,62 +515,11 @@ def _d1_ramps(m_count: int):
     Ramps with u >= 1 vanish there, so any m_count > 1 + c eta will do.
     Columns: u = 0, eta, every m - c eta, then every m + eta - c eta.  Over
     a range of r, w (x - u)_+ sums to w (S - u n), with n the count and S
-    the sum of the x_r >= u: one dominance query per ramp.
+    the sum of the x_r >= u: one ``_sweep`` per ramp.
     """
     ms = range(m_count)
     return np.array([(-1, 0, 0, 0), (1, 0, 1, 0)] + [(1, m, 0, 1) for m in ms]
                     + [(-1, m, 1, 1) for m in ms], dtype=np.int64).T
-
-
-def _dominance_sums(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                    t: np.ndarray, values: np.ndarray):
-    """Offline 2D dominance sums over index ranges: for range g and
-    threshold column q, the count of the j in [lo[g], hi[g]) with rank[j] >=
-    t[g, q], and the sum of each row of ``values`` (one column per j) over
-    those j; shapes t.shape and (rows,) + t.shape.
-
-    ``rank`` is a permutation of range(n); a key x_j >= v holds for exactly
-    the j with rank[j] >= t when the ranks order the keys, ties consecutive,
-    and t counts the keys below v.  t <= 0 takes the whole range and t >= n
-    none of it, from index-order prefix sums.  For 0 < t < n the j below t
-    in [0, hi) less those in [0, lo) are taken off: [0, i) splits into one
-    aligned block of 2**k positions per set bit k of i, as in a Fenwick
-    tree.  Level k sorts the ranks within its blocks, keyed block*n + rank
-    so one searchsorted serves every block, and keeps the running sums of
-    the values in that order.  O(n log n) plus O(log n) per query.
-    """
-    n = rank.size
-    prefix = np.zeros((values.shape[0], n + 1), values.dtype)
-    np.cumsum(values, axis=1, out=prefix[:, 1:])
-    span, span_s = hi - lo, prefix[:, hi] - prefix[:, lo]
-    whole = t <= 0
-    count = np.where(whole, span[:, None], 0)
-    total = np.where(whole, span_s[:, :, None], 0)
-    g, q = np.nonzero(~whole & (t < n))
-    k = g.size
-    if not k:
-        return count, total
-    i, v = np.concatenate((hi[g], lo[g])), np.tile(t[g, q], 2)
-    below_n = np.zeros(2 * k, dtype=np.int64)
-    below_s = np.zeros((values.shape[0], 2 * k), dtype=values.dtype)
-    by_rank = np.empty_like(values)
-    by_rank[:, rank] = values
-    key = np.arange(n, dtype=np.int64) * n + rank
-    run = np.zeros_like(prefix)
-    for level in range(n.bit_length()):
-        if level:  # merge sibling blocks: timsort sees two sorted runs each
-            key = np.sort((key // n >> 1) * n + key % n, kind="stable")
-        sel = np.nonzero((i >> level) & 1)[0]
-        if not sel.size:
-            continue
-        np.cumsum(by_rank[:, key % n], axis=1, out=run[:, 1:])
-        start = i[sel] >> (level + 1) << (level + 1)
-        pos = np.searchsorted(key, (start >> level) * n + v[sel], side="left")
-        below_n[sel] += pos - start
-        below_s[:, sel] += run[:, pos] - run[:, start]
-    count[g, q] = span[g] - (below_n[:k] - below_n[k:])
-    total[:, g, q] = span_s[:, g] - (below_s[:, :k] - below_s[:, k:])
-    return count, total
 
 
 def _float_ranges(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
@@ -586,38 +537,6 @@ def _float_ranges(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
     return lo, i0, np.maximum(ib, i0), hi, (ia, ie, ib)
 
 
-def _d1_band_sum(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
-                 a: float, b: float, cfg: ApproxConfig) -> float:
-    """The d=1 integral over p in pf (thresholds eta), interior pairs unvisited.
-
-    Each prime's interior pairs add sum_r g(x_r)/(c p), the ramps of
-    ``_d1_ramps`` summed for all primes by ``_dominance_sums`` in float64
-    over the keys x_r = frac(c r); the boundary pairs go to ``_box_sum``.
-    Per-term absolute error is ~|endpoint|*2**-52.
-    """
-    c_fixed = cfg.c.entries[0]
-    c = c_fixed.to_float()
-    lo, i0, i1, hi, _ = _float_ranges(primes, pf, eta, a, b, cfg)
-    edge = _box_sum(primes, *_boundary_ranges(pf, eta, lo, i0, i1, hi), a, b,
-                    cfg)
-
-    n = int(i1.max())
-    x = frac_multiples(c_fixed, primes[:n])
-    w, m, sigma, tau = _d1_ramps(_window_count(
-        c_fixed.raw, int(math.ldexp(eta.max(), FRAC_BITS))))
-    u = m + sigma * eta[:, None] - tau * (c * eta)[:, None]
-    order = np.argsort(x, kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    # x_j >= u iff rank_j >= t: every x_j for u <= 0, none for u >= 1
-    t = np.where(u <= 0.0, 0, n)
-    inside = (u > 0.0) & (u < 1.0)
-    t[inside] = np.searchsorted(x[order], u[inside], side="left")
-    n_at, s_at = _dominance_sums(rank, i0, i1, t, x[None])
-    inner = (s_at[0] - u * n_at) @ w / (c * pf)
-    return math.fsum(np.append(inner, edge))
-
-
 def _below(t: np.ndarray, x):
     """[start, stop) of the i with t[i] < x, per key x, for a monotone t."""
     if t[0] <= t[-1]:
@@ -625,51 +544,104 @@ def _below(t: np.ndarray, x):
     return t.size - np.searchsorted(t[::-1], x, side="left"), t.size
 
 
-def _d2_band_sum(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
-                 a: float, b: float, cfg: ApproxConfig) -> float:
-    """The d=2 integral over p in pf (thresholds eta), interior pairs unvisited.
+def _interior_runs(ends, n: int):
+    """Per r = primes[j], j < n, the runs (start, stop) of the primes on
+    which each interior condition holds, from the ends (ia, ie, ib) of
+    ``_float_ranges`` or ``_exact_ranges``: ia <= j, ie <= j and j < ib.
+    With eta nonincreasing in p, ia and ib rise and ie falls with p, so
+    each is a prefix or a suffix of the primes."""
+    ia, ie, ib = ends
+    j = np.arange(n)
+    return [_below(ia, j + 1), _below(ie, j + 1), _below(-ib, -j)]
 
-    An interior pair adds h(x_1, x_2)/p, x_i = frac(c_i r): the measure of
-    the t in [0, eta) with frac(x_i + c_i t) < eta for both i.  Dimension
-    2's windows (k - x_2 + [0, eta))/c_2, expanded over their ends, give
+
+def _meet(runs, n: int, size: int):
+    """[first, last) per key j < n: the primes, of range(size), in every
+    run (start, stop) of ``runs``; an end may be one number for all j."""
+    starts, stops = zip(*runs)
+    return (reduce(np.maximum, starts, np.zeros(n, np.int64)),
+            reduce(np.minimum, stops, np.full(n, size)))
+
+
+def _sweep(first: np.ndarray, last: np.ndarray, t: np.ndarray, keys,
+           values: np.ndarray):
+    """Per prime p, of range(t.size): the count of the keys j with first[j]
+    <= p < last[j] and t[p] < keys[j], and the sums of each row of
+    ``values`` (one column per j) over them.
+
+    t must be monotone in p.  Then t[p] < keys[j] holds on a prefix or a
+    suffix of the primes, so each key counts for one run of primes, found
+    by one searchsorted, and difference arrays over p, added up, give every
+    prime's count and sums: O(n log t.size) time, O(n + t.size) memory.
+    The sums keep the dtype of ``values``: np.add.at adds in order, so in
+    int64 they are exact while every partial sum stays below 2**63, as for
+    32-bit digits over fewer than 2**31 keys.
+    """
+    size = t.size
+    start, stop = _below(t, keys)
+    start, stop = np.maximum(first, start), np.minimum(last, stop)
+    keep = start < stop
+    start, stop = start[keep], stop[keep]
+    count = (np.bincount(start, minlength=size + 1)
+             - np.bincount(stop, minlength=size + 1))
+    sums = np.zeros((values.shape[0], size + 1), values.dtype)
+    for row, v in zip(sums, values[:, keep]):
+        np.add.at(row, start, v)
+        np.subtract.at(row, stop, v)
+    return np.cumsum(count)[:size], np.cumsum(sums, axis=1)[:, :size]
+
+
+def _band_sum(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
+              a: float, b: float, cfg: ApproxConfig) -> float:
+    """The integral for d <= 2 over p in pf (thresholds eta, nonincreasing
+    in p), interior pairs unvisited.
+
+    An interior pair adds h(x)/p, x_i = frac(c_i r): the measure of the t
+    in [0, eta) with frac(x_i + c_i t) < eta for every i.  With the ramps
+    F(y) = sum_m [(y - m)_+ - (y - m - eta)_+] of ``_d1_ramps``, c_1 h =
+    F(x_1 + c_1 eta) - F(x_1) at d = 1.  At d = 2, dimension 2's windows
+    (k - x_2 + [0, eta))/c_2, expanded over their ends, give
 
       c_1 h = A(x_2) F(x_1 + c_1 eta) - [x_2 < eta] F(x_1) + sum over k
               and o in {0, eta} of (-1 at o = 0, +1 at o = eta) [k + o -
               c_2 eta < x_2 < k + o] F(w + (c_1/c_2)(k + o)),
 
-    with the ramps F(y) = sum_m [(y - m)_+ - (y - m - eta)_+] of
-    ``_d1_ramps``, w = x_1 - (c_1/c_2) x_2, A(x_2) = sum_k ([x_2 > k - c_2
-    eta] - [x_2 > k + eta - c_2 eta]) and k < floor(c_2 eta) + 2.  So c_1 h
-    is a signed sum of J families [v < x_2 < V] (y - u)_+, y in {x_1, w},
-    with v, V and u affine in eta; those no prime meets are dropped, equal
-    ones merged.  Keys x_i = 1.0 (``frac_multiples`` rounds up near 1) are
-    read as 0, since h is 1-periodic.
+    with w = x_1 - (c_1/c_2) x_2, A(x_2) = sum_k ([x_2 > k - c_2 eta] -
+    [x_2 > k + eta - c_2 eta]) and k < floor(c_2 eta) + 2.  So c_1 h is a
+    signed sum of J families [v < x_2 < V] (y - u)_+, y in {x_1, w}, with
+    v, V and u affine in eta; those no prime meets are dropped, equal ones
+    merged.  Keys x_i = 1.0 (``frac_multiples`` rounds up near 1) are read
+    as 0, since h is 1-periodic.
 
-    eta must be nonincreasing in p; ``slack_threshold`` is on every tested
-    exponent, and is read through a running minimum.  Then the ends ia, ie
-    and ib of ``_float_ranges``, and every v, V and u, are monotone in p, so
-    each condition on a pair holds on a prefix or a suffix of the primes,
-    and each r counts for one run of primes per family.  searchsorted
-    finds the runs, and difference arrays of the count and of the sum of y,
-    cumulative over p, give each prime's S - u n: O(J pi(bN) log pi(N))
-    time and O(pi(bN)) memory.  The boundary pairs go to ``_box_sum``.
+    As eta falls with p, the runs of ``_interior_runs`` and every v, V and
+    u are monotone in p, so each condition on a pair holds on a prefix or a
+    suffix of the primes, and one ``_sweep`` per family and ramp gives each
+    prime's S - u n: O(J pi(bN) log pi(N)) time and O(pi(bN)) memory.  The
+    boundary pairs go to ``_box_sum``.
     """
-    eta = np.minimum.accumulate(eta)
-    (c1f, c2f), (c1, c2) = cfg.c.entries, cfg.c.floats()
-    lo, i0, i1, hi, (ia, ie, ib) = _float_ranges(primes, pf, eta, a, b, cfg)
+    cs = cfg.c.floats()
+    lo, i0, i1, hi, ends = _float_ranges(primes, pf, eta, a, b, cfg)
     edge = _box_sum(primes, *_boundary_ranges(pf, eta, lo, i0, i1, hi), a, b,
                     cfg)
 
-    e_max = int(math.ldexp(eta[0], FRAC_BITS))
-    n1, n2 = (_window_count(c.raw, e_max) for c in (c1f, c2f))
-    rho = c1 / c2
+    e_max = int(math.ldexp(eta.max(), FRAC_BITS))
+    n_k = [_window_count(c.raw, e_max) for c in cfg.c.entries]
+    n, size = int(i1.max()), pf.size
+    xs = [frac_multiples(c, primes[:n]) % 1.0 for c in cfg.c.entries]
     # (weight, y, s, v, V) is weight [v < x_2 < V] F(y + s), y = 0 for x_1
     # and 1 for w; a pair (e0, e1) stands for e0 + e1 eta, None for no bound
-    raw = [(-1, 0, (0.0, 0.0), None, (0.0, 1.0))]
-    for k, sig in itertools.product(range(n2), (0, 1)):
-        v = (k, sig - c2)
-        raw += [(1 - 2 * sig, 0, (0.0, c1), v, None),
-                (2 * sig - 1, 1, (rho * k, rho * sig), v, (k, sig))]
+    if cfg.d == 1:
+        ys = xs
+        raw = [(1, 0, (0.0, cs[0]), None, None),
+               (-1, 0, (0.0, 0.0), None, None)]
+    else:
+        rho = cs[0] / cs[1]
+        ys = (xs[0], xs[0] - rho * xs[1])
+        raw = [(-1, 0, (0.0, 0.0), None, (0.0, 1.0))]
+        for k, sig in itertools.product(range(n_k[1]), (0, 1)):
+            v = (k, sig - cs[1])
+            raw += [(1 - 2 * sig, 0, (0.0, cs[0]), v, None),
+                    (2 * sig - 1, 1, (rho * k, rho * sig), v, (k, sig))]
     families = {}
     for weight, y, s, v, V in raw:
         if v is not None:
@@ -683,68 +655,58 @@ def _d2_band_sum(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
                 continue
             V = V if t.min() < 1.0 else None
         group = families.setdefault((v, V), {})
-        for m, tau in itertools.product(range(n1), (0, 1)):
+        for m, tau in itertools.product(range(n_k[0]), (0, 1)):
             u = (m - s[0], tau - s[1])
             if (u[0] + u[1] * eta).min() < 1.0:  # y < 1, so u >= 1 adds 0
                 group[y, u] = group.get((y, u), 0) + weight * (1 - 2 * tau)
 
-    n, size = int(i1.max()), pf.size
-    x1, x2 = (frac_multiples(c, primes[:n]) % 1.0 for c in (c1f, c2f))
-    ys = (x1, x1 - rho * x2)
-    j = np.arange(n)
-    # the primes for which r = primes[j] is interior
-    interior = [_below(ia, j + 1), _below(ie, j + 1), _below(-ib, -j)]
-    s_diff, un = np.zeros(size + 1), np.zeros(size)
+    interior = _interior_runs(ends, n)
+    inner = np.zeros(size)
     for (v, V), group in families.items():
         runs = list(interior)
         if v is not None:
-            runs.append(_below(v[0] + v[1] * eta, x2))
+            runs.append(_below(v[0] + v[1] * eta, xs[1]))
         if V is not None:
-            runs.append(_below(-V[0] - V[1] * eta, -x2))
-        starts, stops = zip(*runs)
-        first = reduce(np.maximum, starts, np.zeros(n, np.int64))
-        last = reduce(np.minimum, stops, np.full(n, size))
+            runs.append(_below(-V[0] - V[1] * eta, -xs[1]))
+        first, last = _meet(runs, n, size)
         for (y, u), weight in group.items():
             if not weight:
                 continue
             u_p = u[0] + u[1] * eta
-            start, stop = _below(u_p, ys[y])
-            start, stop = np.maximum(first, start), np.minimum(last, stop)
-            keep = start < stop
-            start, stop, yk = start[keep], stop[keep], ys[y][keep]
-            count = np.cumsum(np.bincount(start, minlength=size + 1)
-                              - np.bincount(stop, minlength=size + 1))
-            s_diff += weight * (np.bincount(start, yk, size + 1)
-                                - np.bincount(stop, yk, size + 1))
-            un += weight * u_p * count[:size]
-    inner = (np.cumsum(s_diff)[:size] - un) / (c1 * pf)
-    return math.fsum(np.append(inner, edge))
+            count, sums = _sweep(first, last, u_p, ys[y], ys[y][None])
+            inner += weight * (sums[0] - u_p * count)
+    return math.fsum(np.append(inner / (cs[0] * pf), edge))
 
 
 def _exact_ranges(a, b, cfg: ApproxConfig, ps: np.ndarray, eta: np.ndarray,
                   primes: np.ndarray):
     """The interior test of the exact kernels, in integers.
 
-    Returns e = [floor(eta_p 2**128)] over the primes p of ps, and lo <= i0
-    <= i1 <= hi per prime, where [lo, hi) is its partner range of
-    ``_pair_ranges`` and [i0, i1) holds its interior pairs: r >= a p, r c_i
-    >= eta for every i and r + eta <= b p, read as r c_raw_i >= e and
-    r 2**128 + e <= b p 2**128.  An interior pair's alpha window [r/p,
-    (r + eta)/p) lies in [a, b] and clear of every floor-zero band q_i < 1.
+    Returns e = [floor(eta_p 2**128)] over the primes p of ps, then lo <=
+    i0 <= i1 <= hi per prime and the three ends ia, ie and ib, as
+    ``_float_ranges`` gives them.  [lo, hi) is the prime's partner range of
+    ``_pair_ranges`` and [i0, i1) holds its interior pairs, the j with ia
+    <= j (r >= a p), ie <= j (r c_i >= eta for every i, read as r c_raw_i
+    >= e) and j < ib (r + eta <= b p, read as r 2**128 + e <= b p 2**128).
+    An interior pair's alpha window [r/p, (r + eta)/p) lies in [a, b] and
+    clear of every floor-zero band q_i < 1.
     """
     a_fr, b_fr = Fraction(a), Fraction(b)
     lo, hi = _pair_ranges(primes, ps, float(a_fr), float(b_fr))
     c_min = min(ci.raw for ci in cfg.c.entries)
     p_list = ps.tolist()
     e = [int(math.ldexp(v, FRAC_BITS)) for v in eta.tolist()]
-    beyond = int(primes[-1]) + 1  # r_min past every prime: no interior pair
-    r_min = [min(max(-(-a_fr.numerator * p // a_fr.denominator),
-                     -(-ej // c_min)), beyond) for p, ej in zip(p_list, e)]
-    r_max = [((b_fr.numerator * p << FRAC_BITS) - b_fr.denominator * ej)
-             // (b_fr.denominator << FRAC_BITS) for p, ej in zip(p_list, e)]
-    i0 = np.minimum(np.searchsorted(primes, r_min, side="left"), hi)
-    i1 = np.maximum(np.searchsorted(primes, r_max, side="right"), i0)
-    return e, lo, i0, i1, hi
+    beyond = int(primes[-1]) + 1  # past every prime: no interior pair
+    ia = np.searchsorted(primes, [-(-a_fr.numerator * p // a_fr.denominator)
+                                  for p in p_list], side="left")
+    ie = np.searchsorted(primes, [min(-(-ej // c_min), beyond) for ej in e],
+                         side="left")
+    ib = np.searchsorted(primes, [
+        ((b_fr.numerator * p << FRAC_BITS) - b_fr.denominator * ej)
+        // (b_fr.denominator << FRAC_BITS) for p, ej in zip(p_list, e)],
+        side="right")
+    i0 = np.minimum(np.maximum(ia, ie), hi)
+    return e, lo, i0, np.maximum(ib, i0), hi, (ia, ie, ib)
 
 
 def _digits(values, count: int) -> np.ndarray:
@@ -784,8 +746,9 @@ def _rank(keys: list[np.ndarray], thresholds: list[np.ndarray]):
 
 def _d1_exact_sum(a, b, cfg: ApproxConfig, ps: np.ndarray, eta: np.ndarray,
                   primes: np.ndarray) -> Fraction:
-    """The exact d=1 integral over p in ps (thresholds eta): the shape of
-    ``_d1_band_sum`` in integer units, interior pairs unvisited.
+    """The exact d=1 integral over p in ps (thresholds eta, nonincreasing
+    in p): the ramps of ``_d1_ramps`` in integer units, interior pairs
+    unvisited.
 
     With D = p c_raw 2**128, alpha D = X = beta c_raw 2**128 for beta =
     p alpha, and frac(c beta) < eta, floor(c beta) >= 1 read X mod U < W,
@@ -793,20 +756,26 @@ def _d1_exact_sum(a, b, cfg: ApproxConfig, ps: np.ndarray, eta: np.ndarray,
     ramp u = m + sigma eta - tau c eta of ``_d1_ramps`` sits at m U + sigma
     W - tau E, E = e c_raw, over y = x_r 2**128, x_r = frac(c r) 2**128 from
     ``limb_product``.  The interior pairs are those of ``_exact_ranges``.
-    y >= u iff x_r >= T = ceil(u / 2**128): ``_rank`` places the thresholds
-    0 < T < 2**128 among the keys, and the dominance sums run on the 32-bit
-    limbs of x_r in int64 (below 2**32 pi(bN)).  The boundary pairs go to
-    the segment walk.
+    y >= u iff x_r >= T = ceil(u / 2**128) = m 2**128 + sigma e - tau
+    floor(e c_raw / 2**128), and x_r >= T iff rank_r >= t, where ``_rank``
+    places the thresholds 0 < T < 2**128 among the keys and t counts the
+    keys below T.  Each ramp's T is monotone in e, which falls with p:
+    e - floor(e c_raw / 2**128) rises with e for c < 1 and falls for c >=
+    1, and the other ramps hold e or floor(e c_raw / 2**128) alone.  So t
+    is monotone in p, and one ``_sweep`` per ramp on the ranks, the integer
+    twin of ``_band_sum``'s, gives each prime's count and sums of the
+    32-bit limbs of x_r, added with np.add.at in int64: exact below 2**31
+    keys.  The boundary pairs go to the segment walk.
     """
     c_raw = cfg.c.entries[0].raw
-    e, lo, i0, i1, hi = _exact_ranges(a, b, cfg, ps, eta, primes)
+    e, lo, i0, i1, hi, ends = _exact_ranges(a, b, cfg, ps, eta, primes)
 
-    n = int(i1.max())
+    n, size = int(i1.max()), ps.size
     limbs = np.array(limb_product(c_raw, primes[:n], 4), dtype=np.int64)
     ramps = _d1_ramps(_window_count(c_raw, max(e)))
-    cols = ramps[1:].T.tolist()  # (m, sigma, tau) of each ramp
+    cols = ramps.T.tolist()  # (w, m, sigma, tau) of each ramp
     thr = [(m << FRAC_BITS) + s * ej - tau * (ej * c_raw >> FRAC_BITS)
-           for ej in e for m, s, tau in cols]
+           for ej in e for _, m, s, tau in cols]
     # t counts the x_r below each T: 0 for T <= 0, all for T >= 2**128, and
     # for the rest their place among the keys
     t = np.array([0 if v <= 0 else n for v in thr], dtype=np.int64)
@@ -814,14 +783,19 @@ def _d1_exact_sum(a, b, cfg: ApproxConfig, ps: np.ndarray, eta: np.ndarray,
     rank, t[inside] = _rank(_words(limbs.T),
                             _words(_digits([thr[j] for j in inside], 4)))
 
-    n_at, s_at = _dominance_sums(rank, i0, i1, t.reshape(len(e), -1), limbs)
-    # the sum of w (y - u)_+ is 2**128 sum w s_at - sum w u n_at, and sum w u
-    # n_at = U sum w m n_at + W sum w sigma n_at - E sum w tau n_at
-    x_sums = (s_at * ramps[0]).sum(axis=2).tolist()
-    u_sums = (n_at @ (ramps[0] * ramps[1:]).T).T.tolist()  # m, sigma, tau
+    first, last = _meet(_interior_runs(ends, n), n, size)
+    # the sum of w (y - u)_+ is 2**128 sum w S - sum w u n, and sum w u n =
+    # U sum w m n + W sum w sigma n - E sum w tau n
+    x_sums = np.zeros((4, size), dtype=np.int64)
+    u_sums = np.zeros((3, size), dtype=np.int64)  # m, sigma, tau
+    for t_q, (w, *col) in zip(t.reshape(size, -1).T, cols):
+        count, sums = _sweep(first, last, t_q, rank + 1, limbs)
+        x_sums += w * sums
+        u_sums += np.outer([w * v for v in col], count)
     terms = {}
-    for p, ej, l0, l1, l2, l3, wm, ws, wt in zip(ps.tolist(), e, *x_sums,
-                                                  *u_sums):
+    for p, ej, l0, l1, l2, l3, wm, ws, wt in zip(ps.tolist(), e,
+                                                  *x_sums.tolist(),
+                                                  *u_sums.tolist()):
         x_sum = l0 + (l1 << 32) + (l2 << 64) + (l3 << 96)
         terms[p] = (((x_sum - (wm << FRAC_BITS) - ej * ws) << FRAC_BITS)
                     + ej * c_raw * wt)
@@ -893,7 +867,7 @@ def _rank_exact_sum(a, b, cfg: ApproxConfig, ps: np.ndarray, eta: np.ndarray,
     """
     craws = [ci.raw for ci in cfg.c.entries]
     d, pc = len(craws), math.prod(craws)
-    e, lo, i0, i1, hi = _exact_ranges(a, b, cfg, ps, eta, primes)
+    e, lo, i0, i1, hi, _ = _exact_ranges(a, b, cfg, ps, eta, primes)
     rs = primes[:int(i1.max())].tolist()
     xs = [[r * c & FRAC_MASK for r in rs] for c in craws]
     digits = [_digits(x, 4) for x in xs]
@@ -998,17 +972,20 @@ def witness_integral(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
     method='exact' returns the integral as an exact Fraction (integer
     interval arithmetic, normalised once); method='fast' returns a float64
     evaluation with relative error well below 1e-6; 'auto' switches on N.
-    For d = 1 neither path visits the interior pairs: ``_d1_exact_sum``
-    and ``_d1_band_sum`` share the ramp table, the range query and the
-    boundary split, and differ only in number type (128-bit integers or
-    float64); each visits only the nonempty boundary ranges.  For every d
-    >= 2 the exact path, ``_rank_exact_sum``, visits the interior pairs in
-    numpy on exact integer ranks, with no big-integer step per pair, and
-    walks only the boundary ranges.  The fast path leaves the interior
-    pairs unvisited at d = 2 (``_d2_band_sum``), and sums every pair with
-    ``_box_sum`` for d >= 3.  Every path reads the thresholds of the primes
-    p <= N, taken once.  ``_check_integral`` checks the method and the
-    window ends before any work.
+    For d = 1 neither path, and for d = 2 the fast path, visits the
+    interior pairs: ``_d1_exact_sum`` (d = 1, 128-bit integers) and
+    ``_band_sum`` (d <= 2, float64) sum them by ``_sweep``, one pass over
+    the primes per ramp, and visit only the nonempty boundary ranges.  For
+    every d >= 2 the exact path,
+    ``_rank_exact_sum``, visits the interior pairs in numpy on exact
+    integer ranks, with no big-integer step per pair, and walks only the
+    boundary ranges.  The fast path sums every pair with ``_box_sum`` for d
+    >= 3.  Every path reads the thresholds of the primes p <= N, taken
+    once.  A sweep needs them monotone in p, so the exact kernels and
+    ``_band_sum`` take the primes in the maximal runs on which eta_p is
+    nonincreasing, one call per run: one run on every tested exponent, as
+    ``slack_threshold`` falls in p there.  ``_check_integral`` checks the
+    method and the window ends before any work.
     """
     ps, eta = _window_primes(a, b, cfg, N, table, method)
     if method == "auto":
@@ -1017,13 +994,16 @@ def witness_integral(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
         return Fraction(0) if method == "exact" else 0.0
     primes = table.primes
     a_f, b_f = float(Fraction(a)), float(Fraction(b))
+    cuts = [0, *np.flatnonzero(np.diff(eta) > 0.0) + 1, ps.size]
+    runs = [slice(i, j) for i, j in zip(cuts, cuts[1:])]
     if method == "exact":
-        return (_d1_exact_sum if cfg.d == 1 else _rank_exact_sum)(
-            a, b, cfg, ps, eta, primes)
+        kernel = _d1_exact_sum if cfg.d == 1 else _rank_exact_sum
+        return sum((kernel(a, b, cfg, ps[s], eta[s], primes) for s in runs),
+                   Fraction(0))
     pf = ps.astype(np.float64)
     if cfg.d <= 2:
-        return (_d1_band_sum if cfg.d == 1 else _d2_band_sum)(
-            primes, pf, eta, a_f, b_f, cfg)
+        return math.fsum(_band_sum(primes, pf[s], eta[s], a_f, b_f, cfg)
+                         for s in runs)
     return _box_sum(primes, pf, eta, *_pair_ranges(primes, pf, a_f, b_f), a_f,
                     b_f, cfg)
 
@@ -1126,7 +1106,7 @@ def riemann_scan(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
     primes = table.primes
     a_fr, b_fr = Fraction(a), Fraction(b)
     width = b_fr - a_fr
-    e, lo, i0, i1, hi = _exact_ranges(a, b, cfg, ps, eta, primes)
+    e, lo, i0, i1, hi, _ = _exact_ranges(a, b, cfg, ps, eta, primes)
     delta = math.inf if points >= 1 << 47 else math.ldexp(points, -48) * (
         1.0 + float(a_fr + b_fr + 1) / float(width))
     if not delta < 0.25:

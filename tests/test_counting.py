@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diophlab import counting
@@ -49,8 +49,8 @@ def _trial_prime(m: int) -> bool:
 
 
 def reference_d1_band_sum(primes, ps, a, b, cfg, pair_budget=4_000_000):
-    """The pair-by-pair d=1 fast kernel the dominance-sum kernel replaced:
-    the closed form evaluated on every (p, r) pair, in bounded chunks."""
+    """The pair-by-pair d=1 fast kernel the sweep kernel replaced: the
+    closed form evaluated on every (p, r) pair, in bounded chunks."""
     chunks = []
     c = cfg.c.floats()[0]
     pf = ps.astype(np.float64)
@@ -875,18 +875,24 @@ class TestWitnessIntegral:
         ex = witness_integral(1.0, 2.0, cfg, N, table_small, method="exact")
         assert got == pytest.approx(float(ex), rel=1e-9)
 
-    def test_fast_d2_at_2_18_under_a_second(self, two_dim_cfg, table_big):
-        witness_integral(1.0, 2.0, two_dim_cfg, 2**10, table_big, method="fast")
+    @pytest.mark.parametrize("cfg_name", ["golden_cfg", "two_dim_cfg"],
+                             ids=["d1", "d2"])
+    def test_fast_at_2_18_under_a_second(self, table_big, request, cfg_name):
+        # neither d <= 2 fast path visits the interior pairs: walking them
+        # takes seconds here
+        cfg = request.getfixturevalue(cfg_name)
+        witness_integral(1.0, 2.0, cfg, 2**10, table_big, method="fast")
         start = time.perf_counter()
-        witness_integral(1.0, 2.0, two_dim_cfg, 2**18, table_big, method="fast")
+        witness_integral(1.0, 2.0, cfg, 2**18, table_big, method="fast")
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("d, k, eps", [
         (1, 1.0, 0.1), (1, 1.0, 0.05), (1, 1.0, 0.1998), (2, 2.0, 0.05),
         (2, 2.0, 0.025), (3, 3.0, 0.02)])
     def test_slack_threshold_nonincreasing(self, table_big, d, k, eps):
-        # _d2_band_sum needs eta_p nonincreasing in p: the exponents of the
-        # tests and of the benchmark, over the primes below 2**21
+        # the sweeps of the d <= 2 kernels take the primes in runs of
+        # nonincreasing eta_p; on the exponents of the tests and of the
+        # benchmark, over the primes below 2**21, there is one run
         cfg = ApproxConfig(c=CVector((constant("phi"),) * d, k), epsilon=eps,
                            A=1.0, B=2.0)
         eta = cfg.slack_threshold(table_big.primes[table_big.primes < 2**21])
@@ -948,77 +954,117 @@ class TestWitnessIntegral:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
-    @staticmethod
-    def _check_dominance_sums(keys, ranges, v):
-        # brute force: the j of each range whose key is at or above each v
-        x = np.array(keys, dtype=np.int64)
-        n = x.size
-        values = np.stack((x * 7 + 1, np.arange(n, dtype=np.int64) ** 2))
-        lo = np.array([l for l, _ in ranges], dtype=np.int64)
-        hi = np.array([h for _, h in ranges], dtype=np.int64)
-        order = np.argsort(x, kind="stable")
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n)
-        t = np.searchsorted(x[order], np.array(v, dtype=np.int64),
-                            side="left")
-        count, sums = counting._dominance_sums(rank, lo, hi, t, values)
-        assert count.shape == t.shape and sums.shape == (2,) + t.shape
-        # thresholds past either end of the keys act as t = 0 and t = n
-        wide = np.where(t == 0, -3, np.where(t == n, n + 3, t))
-        for got, want in zip(
-                counting._dominance_sums(rank, lo, hi, wide, values),
-                (count, sums)):
-            assert np.array_equal(got, want)
-        for g, (l, h) in enumerate(ranges):
-            for q, vq in enumerate(v[g]):
-                hit = [j for j in range(l, h) if keys[j] >= vq]
-                assert count[g, q] == len(hit)
-                assert (sums[:, g, q].tolist()
-                        == values[:, hit].sum(axis=1).tolist())
+    @settings(max_examples=80)
+    @given(keys=st.lists(st.integers(0, 5), max_size=30),
+           size=st.integers(1, 12), data=st.data())
+    @example(keys=[], size=1, data=None)
+    @example(keys=[3, 3, 0, 5], size=4, data=None)
+    def test_sweep_matches_brute_force(self, keys, size, data):
+        # tied integer keys; runs of primes anywhere, empty (first >= last)
+        # and offset ones included; thresholds below, on and above every
+        # key, increasing or decreasing; int64 weights up to 2**32, summed
+        # exactly.  The examples fix the empty case and runs of all primes
+        # against thresholds below, on and above every key.
+        n = len(keys)
+        if data is None:
+            runs = [(0, size)] * n
+            t = [-1, 3, 5, 6][:size]
+            values = [[2**32 - 1] * n, list(range(n))]
+        else:
+            runs = data.draw(st.lists(st.tuples(st.integers(0, size),
+                                                st.integers(0, size)),
+                                      min_size=n, max_size=n))
+            t = sorted(data.draw(st.lists(st.integers(-1, 6), min_size=size,
+                                          max_size=size)),
+                       reverse=data.draw(st.booleans()))
+            values = [data.draw(st.lists(st.integers(0, 2**32 - 1),
+                                         min_size=n, max_size=n))
+                      for _ in range(2)]
+        first, last = (np.array([r[k] for r in runs], dtype=np.int64)
+                       for k in (0, 1))
+        values = np.array(values, dtype=np.int64).reshape(2, n)
+        count, sums = counting._sweep(first, last, np.array(t, np.int64),
+                                      np.array(keys, np.int64), values)
+        assert count.shape == (size,) and sums.shape == (2, size)
+        assert sums.dtype == np.int64
+        for p in range(size):
+            hit = [j for j in range(n)
+                   if first[j] <= p < last[j] and t[p] < keys[j]]
+            assert count[p] == len(hit)
+            assert sums[:, p].tolist() == [sum(v[j] for j in hit)
+                                           for v in values.tolist()]
 
     @settings(max_examples=60)
-    @given(keys=st.lists(st.integers(0, 5), max_size=40), data=st.data())
-    def test_dominance_sums_match_brute_force(self, keys, data):
-        # integer keys with ties; ranges anywhere, empty ones included;
-        # thresholds below (t = 0), on and above (t = n) the keys
-        n = len(keys)
-        ranges = data.draw(st.lists(
-            st.tuples(st.integers(0, n), st.integers(0, n)).map(sorted),
-            min_size=1, max_size=8))
-        cols = data.draw(st.integers(1, 4))
-        v = data.draw(st.lists(
-            st.lists(st.integers(-1, 6), min_size=cols, max_size=cols),
-            min_size=len(ranges), max_size=len(ranges)))
-        self._check_dominance_sums(keys, ranges, v)
+    @given(size=st.integers(1, 12), n=st.integers(0, 20), data=st.data())
+    def test_interior_runs_match_brute_force(self, size, n, data):
+        # ia and ib rise and ie falls with p, as for nonincreasing eta
+        def ends(reverse):
+            return np.array(sorted(data.draw(st.lists(
+                st.integers(0, n + 1), min_size=size, max_size=size)),
+                reverse=reverse), dtype=np.int64)
 
-    @pytest.mark.parametrize("keys, ranges, v", [
-        ([], [(0, 0)], [[-1, 0, 1]]),
-        ([3], [(0, 1), (1, 1), (0, 0)], [[0, 3, 4]] * 3),
-        ([2, 0, 2, 5, 1, 4], [(2, 6), (3, 3), (0, 6), (5, 6)],
-         [[-9, 0, 2, 9]] * 4)],
-        ids=["no-keys", "one-key", "offset-ranges"])
-    def test_dominance_sums_edge_cases(self, keys, ranges, v):
-        self._check_dominance_sums(keys, ranges, v)
+        ia, ie, ib = ends(False), ends(True), ends(False)
+        first, last = counting._meet(
+            counting._interior_runs((ia, ie, ib), n), n, size)
+        for j in range(n):
+            want = [p for p in range(size)
+                    if ia[p] <= j and ie[p] <= j and j < ib[p]]
+            assert list(range(first[j], last[j])) == want
 
     def test_d1_kernels_search_the_same_thresholds(self, golden_cfg,
                                                    table_small, monkeypatch):
-        # both kernels leave the same thresholds to the search, 0 < t < n
-        dominance = counting._dominance_sums
-        searched = []
+        # both kernels sweep the same ramps: per ramp, the count of the keys
+        # above each prime's threshold, out of the same keys
+        sweep = counting._sweep
+        swept, sizes = [], set()
 
-        def spy(rank, lo, hi, t, values):
-            searched.append((int(((t > 0) & (t < rank.size)).sum()), t.size))
-            return dominance(rank, lo, hi, t, values)
+        def spy(first, last, t, keys, values):
+            swept[-1].append((t[:, None] < keys).sum(axis=1).tolist())
+            sizes.add(keys.size)
+            return sweep(first, last, t, keys, values)
 
-        monkeypatch.setattr(counting, "_dominance_sums", spy)
+        monkeypatch.setattr(counting, "_sweep", spy)
         for method in ("exact", "fast"):
+            swept.append([])
             witness_integral(1.0, 1.5, golden_cfg, 2**12, table_small,
                              method=method)
-        (exact_inside, exact_all), (fast_inside, fast_all) = searched
-        # 564 primes, 8 ramps each (m count floor(c eta) + 2 = 3); a search
-        # reads both ends of a range
-        assert exact_inside == fast_inside == 1692
-        assert exact_all == fast_all == 4512
+        exact, fast = swept
+        # 564 primes, 8 ramps each (m count floor(c eta) + 2 = 3); the fast
+        # kernel drops the one no key reaches, u = 2 + eta - c eta >= 1
+        assert len(exact) == 8 and {len(r) for r in exact} == {564}
+        assert len(fast) == 7
+        assert sorted(fast) == sorted(r for r in exact if any(r))
+        # the thresholds strictly inside the keys, those a search places
+        n, = sizes
+        assert sum(0 < c < n for r in exact for c in r) == 1692
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_rising_threshold_swept_in_runs(self, golden_cfg, two_dim_cfg,
+                                            table_small, monkeypatch, d):
+        # eta_p read at p/2 for the primes p = 1 mod 4: it rises there, and
+        # stays below eta(2), at which _box_sum counts its candidates
+        slack = ApproxConfig.slack_threshold
+
+        def rising(cfg, x):
+            x = np.asarray(x)
+            return slack(cfg, np.where(x % 4 == 1, x / 2, x))
+
+        monkeypatch.setattr(ApproxConfig, "slack_threshold", rising)
+        cfg = golden_cfg if d == 1 else two_dim_cfg
+        a, b, N = 1.0, 1.5, 2**10
+        primes = table_small.primes
+        ps = primes[primes <= N]
+        eta = cfg.slack_threshold(ps)
+        assert np.any(np.diff(eta) > 0.0) and np.all(eta[1:] < eta[0])
+        fast = witness_integral(a, b, cfg, N, table_small, method="fast")
+        if d == 1:
+            exact = witness_integral(a, b, cfg, N, table_small,
+                                     method="exact")
+            assert exact == reference_exact_walk(a, b, cfg, N, table_small)
+            want = reference_d1_band_sum(primes, ps, a, b, cfg)
+        else:
+            want = box_reference(primes, ps, a, b, cfg)
+        assert fast == pytest.approx(want, rel=1e-12)
 
     def test_pair_chunks_cover_every_pair_once(self, table_small):
         primes = table_small.primes
@@ -1102,8 +1148,8 @@ class TestWitnessIntegral:
             raise AssertionError("a kernel ran")
 
         for name in ("_exact_ranges", "_pair_ranges", "_exact_prime_segments",
-                     "_d1_exact_sum", "_rank_exact_sum", "_d1_band_sum",
-                     "_d2_band_sum", "_box_sum", "_scan_interior"):
+                     "_d1_exact_sum", "_rank_exact_sum", "_band_sum",
+                     "_box_sum", "_scan_interior"):
             monkeypatch.setattr(counting, name, no_work)
         for cfg in (golden_cfg, two_dim_cfg):
             with pytest.raises(ContractError, match="multiples of 2"):
@@ -1166,7 +1212,7 @@ class TestWitnessIntegral:
         # the interior pairs with a segment end on a grid point 1 + g/points
         primes = table_small.primes
         ps, eta = counting._window_primes(a, b, cfg, N, table_small)
-        _, _, i0, i1, _ = counting._exact_ranges(a, b, cfg, ps, eta, primes)
+        _, _, i0, i1, _, _ = counting._exact_ranges(a, b, cfg, ps, eta, primes)
         rows = np.repeat(np.arange(ps.size), i1 - i0)
         idx = np.concatenate([np.arange(i, j) for i, j in zip(i0, i1)])
         ties = {(p, r) for (p, D, segments), r in zip(
