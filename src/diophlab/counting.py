@@ -9,7 +9,10 @@ alpha is a (d+2)-tuple (p, q_1..q_d, r) with p, r prime, q_i >= 1, and
 All floor / fractional-part decisions are exact: alpha and the c_i are
 128-bit fixed-point values, products c_i*alpha are carried exactly at 256
 fractional bits, and thresholds p**(eps-gamma) are binary64 evaluations
-treated as exact dyadic rationals.
+treated as exact dyadic rationals.  The per-prime witness scan and the
+product set first run a float64 prefilter whose stated error bound lets
+it reject only the n that surely fail; the exact limb test decides the
+rest, so the answers are those of the exact test alone.
 
 The integral of the witness-count over alpha decomposes into measures of
 unions of rational intervals; the exact path below computes it in integer
@@ -56,9 +59,9 @@ PAIR_BUDGET = 1 << 14
 #: so a chunk stays near 0.6 MiB at d = 2 and 0.9 MiB at d = 3.
 EXACT_PAIR_BUDGET = 1 << 12
 
-#: Most multipliers n one limb scan of the fractional-part tests holds at
-#: once; with 2**12, a loop of witness queries peaked 0.3 MiB higher.
-SCAN_CHUNK = 1 << 11
+#: Most multipliers n one float64 prefilter of the fractional-part tests
+#: holds at once; the limb test then takes only its survivors.
+SCAN_CHUNK = 1 << 13
 
 
 # ----------------------------------------------------------------------
@@ -211,17 +214,55 @@ class SieveSideCounts:
 # Witness counting
 # ----------------------------------------------------------------------
 
+def _float_prefilter(nf: np.ndarray, scale: float, thr):
+    """The float64 prefilter of the test frac(n t) < thr, for an exact
+    fixed-point t > 0 given correctly rounded as ``scale`` and integers 0 <
+    n < 2**53 given as float64 ``nf``; ``thr`` may be an upper bound of the
+    threshold.
+
+    x = fl(n fl(t)) lies within x 2**-51 of n t (``count_witnesses`` gives
+    the bound), and floor(x) and frac(x) are exact.  Where frac(x) is in
+    [m, 1 - m], m = x 2**-48 + 2**-60, the error is below m / 8, so floor(n
+    t) = floor(x) and frac(n t) > 0; there frac(x) >= thr + m proves frac(n
+    t) >= thr.  The roundings of 1 - m and thr + m stay below 7 m / 8, as
+    frac(x) near 1 needs x > 1/2 and frac(x) >= thr + m needs x > thr / 2.
+    Returns the mask of the n the test does not reject, and floor(x) where
+    it is proven and -1 elsewhere.
+    """
+    x = nf * scale
+    whole = np.floor(x)
+    frac = x - whole
+    m = x * 2.0**-48 + 2.0**-60
+    sure = (frac >= m) & (frac <= 1.0 - m)
+    return ~(sure & (frac >= thr + m)), np.where(sure, whole, -1.0)
+
+
 def count_witnesses(alpha: FixedReal, cfg: ApproxConfig, N: int,
                     table: ArithTable,
                     collect: bool = True) -> tuple[int, list[SolutionTuple]]:
     """Count witnesses with p <= N; optionally return the tuples.
 
     Linear in the number of primes: r and the q_i are forced to be the
-    floors of the respective products, so no inner search is needed.  The
-    limb kernel of ``fourier`` tests SCAN_CHUNK primes at a time: r prime
-    first, then frac(p alpha) and each frac(p c_i alpha) against thr_p =
-    ``cfg.slack_threshold(p)``, taken on the primes that pass the r test.
-    Python ints are built only for the survivors, and only when ``collect``.
+    floors of the respective products, so no inner search is needed.  Two
+    stages, the second on the survivors of the first:
+
+    1. A float64 prefilter (``_float_prefilter``), SCAN_CHUNK primes at a
+       time, rejects the primes that surely fail.  x = fl(p alpha_f) and
+       x_i = fl(p s_i), with alpha_f = alpha_raw / 2**128 and s_i = c_i_raw
+       alpha_raw / 2**256 correctly rounded: two roundings of relative
+       error u = 2**-53, with p exact, put x within x (2u + u**2) / (1 -
+       u)**2 < x 2**-51 of p alpha, and x_i of p c_i alpha.  So where
+       frac(x) is in [m, 1 - m], m = x 2**-48 + 2**-60, r = floor(x) and
+       frac(p alpha) is within m of frac(x): the prime fails if r is not
+       prime or frac(x) >= thr_up + m, where thr_up = np.power(p, eps -
+       gamma) (1 + 2**-40) is above thr_p.  Likewise each x_i in turn, on
+       the primes left, with floor(x_i) = 0 (q_i < 1) for r not prime.
+    2. The limb kernel of ``fourier`` decides the survivors exactly: r
+       prime first, then frac(p alpha) and each frac(p c_i alpha), q_i >=
+       1 with it, against thr_p = ``cfg.slack_threshold(p)``, taken on the
+       primes that pass the r test.
+
+    Python ints are built only for the witnesses, and only when ``collect``.
     """
     if alpha.raw <= 0:
         raise ContractError("alpha must be positive")
@@ -236,10 +277,25 @@ def count_witnesses(alpha: FixedReal, cfg: ApproxConfig, N: int,
             f"build the table up to ceil(alpha*N)+1"
         )
     slopes = [ci.raw * alpha.raw for ci in cfg.c.entries]  # 256 frac bits
-    found: list[int] = []
+    alpha_f, slope_fs = alpha.raw / SCALE, [s / (1 << 256) for s in slopes]
     primes = table.primes_between(2, N)
+    survivors = []
     for start in range(0, primes.size, SCAN_CHUNK):
         p = primes[start:start + SCAN_CHUNK]
+        pf = p.astype(np.float64)
+        thr_up = np.power(pf, cfg.exponent) * (1 + 2.0**-40)
+        keep, r = _float_prefilter(pf, alpha_f, thr_up)
+        # r = -1 where the prefilter leaves r open
+        keep &= (r < 0) | table.prime_flags[np.maximum(r, 0).astype(np.int64)]
+        for s in slope_fs:
+            p, pf, thr_up = p[keep], pf[keep], thr_up[keep]
+            keep, q = _float_prefilter(pf, s, thr_up)
+            keep &= q != 0
+        survivors.append(p[keep])
+    survivors = np.concatenate(survivors)
+    found: list[int] = []
+    for start in range(0, survivors.size, SCAN_CHUNK):
+        p = survivors[start:start + SCAN_CHUNK]
         prod = limb_product(alpha.raw, p, 6)
         r = prod[4] | (prod[5] << np.uint64(32))  # r <= table.limit < 2**64
         keep = np.any(prod[:4], axis=0) & (r >= 2)
@@ -757,9 +813,10 @@ def _d1_exact_sum(a, b, cfg: ApproxConfig, ps: np.ndarray, eta: np.ndarray,
     W - tau E, E = e c_raw, over y = x_r 2**128, x_r = frac(c r) 2**128 from
     ``limb_product``.  The interior pairs are those of ``_exact_ranges``.
     y >= u iff x_r >= T = ceil(u / 2**128) = m 2**128 + sigma e - tau
-    floor(e c_raw / 2**128), and x_r >= T iff rank_r >= t, where ``_rank``
-    places the thresholds 0 < T < 2**128 among the keys and t counts the
-    keys below T.  Each ramp's T is monotone in e, which falls with p:
+    floor(e c_raw / 2**128), and x_r >= T iff rank_r >= t, where t counts
+    the keys below T.  T is a column shift of one base per prime and
+    (sigma, tau), so ``_rank`` places only the bases' low 128 bits among
+    the keys.  Each ramp's T is monotone in e, which falls with p:
     e - floor(e c_raw / 2**128) rises with e for c < 1 and falls for c >=
     1, and the other ramps hold e or floor(e c_raw / 2**128) alone.  So t
     is monotone in p, and one ``_sweep`` per ramp on the ranks, the integer
@@ -774,24 +831,30 @@ def _d1_exact_sum(a, b, cfg: ApproxConfig, ps: np.ndarray, eta: np.ndarray,
     limbs = np.array(limb_product(c_raw, primes[:n], 4), dtype=np.int64)
     ramps = _d1_ramps(_window_count(c_raw, max(e)))
     cols = ramps.T.tolist()  # (w, m, sigma, tau) of each ramp
-    thr = [(m << FRAC_BITS) + s * ej - tau * (ej * c_raw >> FRAC_BITS)
-           for ej in e for _, m, s, tau in cols]
-    # t counts the x_r below each T: 0 for T <= 0, all for T >= 2**128, and
-    # for the rest their place among the keys
-    t = np.array([0 if v <= 0 else n for v in thr], dtype=np.int64)
-    inside = [j for j, v in enumerate(thr) if 0 < v < SCALE]
-    rank, t[inside] = _rank(_words(limbs.T),
-                            _words(_digits([thr[j] for j in inside], 4)))
+    # T = m 2**128 + B, with one base B = h 2**128 + l, 0 <= l < 2**128, per
+    # prime and (sigma, tau): t counts the x_r below T, so it is 0 for m + h
+    # < 0, all n for m + h > 0, and the place of l among the keys for m + h
+    # = 0 (then T = l, and l = 0 has place 0)
+    kinds = sorted({(s, tau) for _, _, s, tau in cols})
+    bases = [s * ej - tau * ec for ej in e for ec in [ej * c_raw >> FRAC_BITS]
+             for s, tau in kinds]
+    rank, places = _rank(_words(limbs.T),
+                         _words(_digits([v & FRAC_MASK for v in bases], 4)))
+    high = dict(zip(kinds, np.array([v >> FRAC_BITS for v in bases])
+                    .reshape(size, -1).T))
+    places = dict(zip(kinds, places.reshape(size, -1).T))
 
     first, last = _meet(_interior_runs(ends, n), n, size)
     # the sum of w (y - u)_+ is 2**128 sum w S - sum w u n, and sum w u n =
     # U sum w m n + W sum w sigma n - E sum w tau n
     x_sums = np.zeros((4, size), dtype=np.int64)
     u_sums = np.zeros((3, size), dtype=np.int64)  # m, sigma, tau
-    for t_q, (w, *col) in zip(t.reshape(size, -1).T, cols):
+    for w, m, s, tau in cols:
+        shift = m + high[s, tau]
+        t_q = np.where(shift < 0, 0, np.where(shift > 0, n, places[s, tau]))
         count, sums = _sweep(first, last, t_q, rank + 1, limbs)
         x_sums += w * sums
-        u_sums += np.outer([w * v for v in col], count)
+        u_sums += np.outer([w * m, w * s, w * tau], count)
     terms = {}
     for p, ej, l0, l1, l2, l3, wm, ws, wt in zip(ps.tolist(), e,
                                                   *x_sums.tolist(),
@@ -1219,7 +1282,8 @@ def product_set(alpha: FixedReal, cfg: ApproxConfig, N: int,
     """Members n <= N passing all d+1 fractional-part tests, with n*floor(n*alpha).
 
     mu defaults to the slack threshold at N; an explicit value supports
-    degenerate diagnostics (mu >= 1 admits every n).
+    degenerate diagnostics (mu >= 1 admits every n).  ``_float_prefilter``
+    rejects the n whose tests surely fail; the limb test decides the rest.
     """
     if alpha.raw <= 0:
         raise ContractError("alpha must be positive")
@@ -1231,11 +1295,14 @@ def product_set(alpha: FixedReal, cfg: ApproxConfig, N: int,
     a = alpha.raw
     # alpha at 128 fraction bits, then each slope c_i alpha at 256
     tests = [(a, 4)] + [(ci.raw * a, 8) for ci in cfg.c.entries]
+    scales = [t / (1 << 32 * count) for t, count in tests]
     thr = fixed_limbs(np.array([mu_val])) if mu_val < 1.0 else None
     out = []
     for start in range(1, N + 1, SCAN_CHUNK):
         n = np.arange(start, min(start + SCAN_CHUNK, N + 1), dtype=np.int64)
         if thr is not None:  # mu >= 1 admits every n
+            for s in scales:
+                n = n[_float_prefilter(n.astype(np.float64), s, mu_val)[0]]
             for t, count in tests:
                 # frac < mu reads the top four limbs of the fraction
                 n = n[limbs_less(limb_product(t, n, count)[-4:], thr)]
@@ -1280,7 +1347,8 @@ def _sieve_side(alpha: FixedReal, sp: SieveSideParams, cfg: ApproxConfig,
     t1, t2, mu = sp.t1, sp.t2, sp.mu_target
     s_exact = sum(1 for m, v in members if m % t1 == 0 and v // m % t2 == 0)
     main = sp.N * mu ** (cfg.d + 1) / (t1 * t2)
-    e_bound = _sieve_error_majorant(alpha, sp, cfg, l_int)
+    e_bound = _sieve_error_majorant(alpha, sp, cfg,
+                                    _half_box_phases(cfg, l_int)(t2))
     return SieveSideCounts(s_exact=s_exact, main_term=main, e_bound=e_bound)
 
 
@@ -1305,18 +1373,26 @@ def _box_half_width(L: float, d: int, cap: int) -> int:
     return l_int
 
 
-def _sieve_error_majorant(alpha: FixedReal, sp: SieveSideParams,
-                          cfg: ApproxConfig, l_int: int) -> float:
-    """The min-form majorant over the punctured box max|m_i| <= l_int, as
-    twice the half box's sum.  The slope sums m_i c_i over (m_1..m_d) are one
-    matrix product (an outer sum of the axes rounds otherwise, by 6e-12 rel.
-    at d = 2, N = 2**18); m_0/t2 is then added in ``half_box`` order."""
-    t1, t2 = sp.t1, sp.t2
+def _half_box_phases(cfg: ApproxConfig, l_int: int):
+    """The function of t2 giving m_0/t2 + sum m_i c_i over the half box of
+    max|m_i| <= l_int, in ``half_box`` order; the box is built once, for
+    every t2.  The slope sums m_i c_i over (m_1..m_d) are one matrix product
+    (an outer sum of the axes rounds otherwise, by 6e-12 rel. at d = 2, N =
+    2**18); m_0/t2 is then added per call."""
     axes = np.meshgrid(*[np.arange(-l_int, l_int + 1, dtype=np.float64)] * cfg.d,
                        indexing="ij")
     slope = np.stack([m.ravel() for m in axes], axis=-1) @ np.array(cfg.c.floats())
-    rows = np.arange(1, l_int + 1, dtype=np.float64)[:, None] / t2 + slope
-    inner = np.concatenate((slope[slope.size // 2 + 1:], rows.ravel()))
+    half = slope[slope.size // 2 + 1:]
+    m0 = np.arange(1, l_int + 1, dtype=np.float64)[:, None]
+    return lambda t2: np.concatenate((half, (m0 / t2 + slope).ravel()))
+
+
+def _sieve_error_majorant(alpha: FixedReal, sp: SieveSideParams,
+                          cfg: ApproxConfig, inner: np.ndarray) -> float:
+    """The min-form majorant over a punctured box, as twice the sum over
+    its half box, whose phases over alpha t1 are ``inner``, from
+    ``_half_box_phases`` at t2."""
+    t1, t2 = sp.t1, sp.t2
     val = alpha.to_float() * t1 * inner
     dist = np.abs(val - np.round(val))
     terms = _min_terms(sp.N / t1, dist)
@@ -1359,17 +1435,26 @@ def sieve_error_sum(alpha: FixedReal, cfg: ApproxConfig, N: int,
     """Weighted error functional over all congruence pairs t1*t2 <= Q:
     sum (t1 t2)**eps * (N mu**d / L + e_bound(t1, t2)).
 
-    L = Q**3 / mu does not depend on the pair: one cap check serves all.
+    L = Q**3 / mu does not depend on the pair: one cap check and one half
+    box serve all.  The pairs are taken by t2, so that each t2's phases are
+    built once and held alone; the terms are then added in pair order.
     ``table`` is not read; it stays a positional parameter for the callers
     that pass one.
     """
     mu = cfg.slack_threshold(N)
     qq = float(N) ** cfg.epsilon if Q is None else Q
     l_int = _box_half_width(qq ** 3 / mu, cfg.d, cap)
+    pairs = list(congruence_pairs(qq))
+    phases = _half_box_phases(cfg, l_int)
+    terms = {}
+    for t2 in sorted({t2 for _, t2 in pairs}):
+        inner = phases(t2)
+        for t1 in (t1 for t1, u2 in pairs if u2 == t2):
+            sp = SieveSideParams.from_config(cfg, N, t1, t2, Q=qq)
+            e_term = _sieve_error_majorant(alpha, sp, cfg, inner)
+            terms[t1, t2] = ((t1 * t2) ** cfg.epsilon
+                             * (N * sp.mu_target ** cfg.d / sp.L + e_term))
     total = 0.0
-    for t1, t2 in congruence_pairs(qq):
-        sp = SieveSideParams.from_config(cfg, N, t1, t2, Q=qq)
-        e_term = _sieve_error_majorant(alpha, sp, cfg, l_int)
-        total += ((t1 * t2) ** cfg.epsilon
-                  * (N * sp.mu_target ** cfg.d / sp.L + e_term))
+    for pair in pairs:
+        total += terms[pair]
     return total

@@ -34,7 +34,9 @@ from diophlab.counting import (
     witness_integral,
 )
 from diophlab.errors import ContractError, RangeError, ResourceCapError
-from diophlab.fixedreal import CVector, FixedReal, constant, half_box
+from diophlab.fixedreal import SCALE, CVector, FixedReal, constant, half_box
+from diophlab.fourier import fixed_limbs, limb_product, limbs_less
+from diophlab.harness import kronecker_samples
 
 
 def _trial_prime(m: int) -> bool:
@@ -362,6 +364,69 @@ def naive_count(alpha, cfg, n_max):
     return count, witnesses
 
 
+def reference_count_witnesses(alpha, cfg, N, table):
+    """The witnesses' p by the limb test of every prime <= N, with no
+    float64 prefilter."""
+    slopes = [ci.raw * alpha.raw for ci in cfg.c.entries]
+    found = []
+    primes = table.primes_between(2, N)
+    for start in range(0, primes.size, 1 << 11):
+        p = primes[start:start + (1 << 11)]
+        prod = limb_product(alpha.raw, p, 6)
+        r = prod[4] | (prod[5] << np.uint64(32))
+        keep = np.any(prod[:4], axis=0) & (r >= 2)
+        keep[keep] = table.prime_flags[r[keep]]
+        p, frac = p[keep], [x[keep] for x in prod[:4]]
+        thr = fixed_limbs(cfg.slack_threshold(p))
+        keep = limbs_less(frac, thr)
+        for s in slopes:
+            p, thr = p[keep], [t[keep] for t in thr]
+            prod = limb_product(s, p, max(8, (s.bit_length() + 63) // 32))
+            keep = (np.any(prod[:8], axis=0) & limbs_less(prod[4:8], thr)
+                    & np.any(prod[8:], axis=0))
+        found += p[keep].tolist()
+    return found
+
+
+def reference_product_set(alpha, cfg, N, mu):
+    """The product set for mu < 1 by the limb test of every n <= N, with no
+    float64 prefilter."""
+    a = alpha.raw
+    thr = fixed_limbs(np.array([mu]))
+    n = np.arange(1, N + 1, dtype=np.int64)
+    for t, count in [(a, 4)] + [(ci.raw * a, 8) for ci in cfg.c.entries]:
+        n = n[limbs_less(limb_product(t, n, count)[-4:], thr)]
+    return [(m, m * ((m * a) >> 128)) for m in n.tolist()]
+
+
+#: 2**-101: the prefilter boundary tests place products this far from 0, 1
+#: and the threshold, on either side.
+NEAR = Fraction(1, 2**101)
+
+
+def placed(n, targets):
+    """alpha and slopes c_i with n alpha and each n c_i alpha within 2**-110
+    of ``targets`` (exact Fractions, alpha's first)."""
+    alpha = FixedReal(round(targets[0] * SCALE / n))
+    cs = tuple(FixedReal(round(t * 2**256 / (n * alpha.raw)))
+               for t in targets[1:])
+    products = [n * alpha.to_fraction()] + [n * c.to_fraction()
+                                             * alpha.to_fraction() for c in cs]
+    assert all(abs(x - t) < Fraction(1, 2**110)
+               for x, t in zip(products, targets))
+    return alpha, cs
+
+
+def boundary_cases(d, thr):
+    """(j, offset): coordinate j (0 for alpha, i for c_i) placed 2**-101 from
+    0, 1 and ``thr``, on both sides, and every other in the middle of
+    (0, thr)."""
+    for j in range(d + 1):
+        for t in (0, 1, thr):
+            for side in (1, -1):
+                yield j, t + side * NEAR
+
+
 class TestConfig:
     def test_gamma_formula(self, golden_cfg, two_dim_cfg):
         assert golden_cfg.gamma == pytest.approx(1.0 / 5.0)
@@ -453,6 +518,75 @@ class TestCountWitnesses:
         want, wit = naive_count(alpha, cfg, N)
         assert got == want
         assert [(t.p, t.r, t.q) for t in tuples] == wit
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_prefilter_boundaries_match_naive_oracle(self, table_small, d):
+        # p alpha = r + t and p c_i alpha = q_i + t_i, with one t at
+        # 2**-101 from 0, 1 or thr_p: that test alone decides whether p is a
+        # witness.  q_i = 0 at the offsets from 1 puts the q_i >= 1 test on
+        # the boundary; r + 1 is even, so r + 1 + t never passes.  At p = 79
+        # p alpha_f rounds below r, and at p = 47 p c_1 alpha_f below q_1.
+        k = d + 0.5
+        eps = 0.3 / (d * (3 * k + 2))
+        for p in (29, 47, 61, 79):
+            thr = Fraction(float(p) ** (eps - 1.0 / (d * (3 * k + 2))))
+            r = next(m for m in range(3 * p // 2, 2 * p) if _trial_prime(m))
+            for j, t in boundary_cases(d, thr):
+                ints = [r] + [p + i for i in range(1, d + 1)]
+                if j and abs(t - 1) < 2 * NEAR:
+                    ints[j] = 0
+                offsets = [thr / 2] * (d + 1)
+                offsets[j] = t
+                alpha, cs = placed(p, [m + f for m, f in zip(ints, offsets)])
+                cfg = ApproxConfig(c=CVector(cs, k), epsilon=eps, A=0.5, B=2.5)
+                assert Fraction(cfg.slack_threshold(p)) == thr
+                got, tuples = count_witnesses(alpha, cfg, p, table_small)
+                want, wit = naive_count(alpha, cfg, p)
+                assert got == want
+                assert [(w.p, w.r, w.q) for w in tuples] == wit
+                assert [w.p for w in tuples] == reference_count_witnesses(
+                    alpha, cfg, p, table_small)
+                inside = t in (NEAR, thr - NEAR) or (j and t == 1 + NEAR)
+                assert any(w.p == p for w in tuples) == inside
+
+    @settings(max_examples=30)
+    @given(cfg=random_configs(),
+           alpha=st.one_of(
+               st.integers(1 << 128, (1 << 129) - 1).map(FixedReal),
+               st.integers(0, 4).flatmap(lambda e: st.integers(
+                   1 << e, 5 << e).map(lambda m: FixedReal(m << (128 - e))))),
+           huge=st.booleans(),
+           N=st.integers(2, 2**14))
+    def test_prefilter_matches_limb_scan(self, table_small, cfg, alpha, huge,
+                                         N):
+        # random 129-bit alpha in [1, 2), dyadic alpha in [1, 5], and a last
+        # slope of 2**50: then p c alpha > 2**51, its margin exceeds 1 and
+        # the prefilter settles none of its tests
+        if huge:
+            cfg = dataclasses.replace(cfg, c=CVector(
+                cfg.c.entries[:-1] + (FixedReal(1 << 178),), cfg.c.k))
+        got, tuples = count_witnesses(alpha, cfg, N, table_small)
+        assert got == len(tuples)
+        assert [t.p for t in tuples] == reference_count_witnesses(
+            alpha, cfg, N, table_small)
+
+    def test_exact_stage_takes_few_primes(self, golden_cfg, table_big,
+                                          monkeypatch):
+        # the float64 prefilter settles almost every prime: at the benchmark
+        # size the limb test multiplies fewer than 5% of them
+        multiplied = set()
+        product = counting.limb_product
+
+        def spy(t, n, count):
+            multiplied.update(n.tolist())
+            return product(t, n, count)
+
+        monkeypatch.setattr(counting, "limb_product", spy)
+        primes = table_big.primes_between(2, 2**18).size
+        for alpha in kronecker_samples(1.125, 1.625, 16, 1):
+            multiplied.clear()
+            count_witnesses(alpha, golden_cfg, 2**18, table_big, collect=False)
+            assert 0 < len(multiplied) < 0.05 * primes
 
     def test_table_checked_before_scan(self, golden_cfg, monkeypatch):
         from diophlab.arith import ArithTable, build_arith_table
@@ -1396,6 +1530,31 @@ class TestProductSet:
             assert (n in out) == in_set
             if n in out:
                 assert out[n] == n * int(n * af)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_prefilter_boundaries_match_naive_recheck(self, d):
+        # n alpha and n c_i alpha placed as in the witness boundary test,
+        # around 0, 1 and mu, for every n of a few
+        cfg = ApproxConfig(c=CVector((constant("phi"),) * d, d + 0.5),
+                           epsilon=0.02, A=0.5, B=2.5)
+        N = 90
+        mu = Fraction(cfg.slack_threshold(N))
+        for n in (17, 60, 77, 90):
+            for j, t in boundary_cases(d, mu):
+                offsets = [mu / 2] * (d + 1)
+                offsets[j] = t
+                alpha, cs = placed(n, [n + i + f for i, f in enumerate(offsets)])
+                cfg_n = dataclasses.replace(cfg, c=CVector(cs, cfg.c.k))
+                out = product_set(alpha, cfg_n, N)
+                fracs = [[(m * alpha.to_fraction()) % 1] + [
+                    (m * c.to_fraction() * alpha.to_fraction()) % 1
+                    for c in cs] for m in range(1, N + 1)]
+                assert [m for m, _ in out] == [
+                    m for m, f in zip(range(1, N + 1), fracs)
+                    if all(x < mu for x in f)]
+                assert out == reference_product_set(alpha, cfg_n, N, float(mu))
+                inside = t in (NEAR, mu - NEAR, 1 + NEAR)
+                assert any(m == n for m, _ in out) == inside
 
     def test_semiprime_members_are_witness_products(self, golden_cfg,
                                                     table_big):
