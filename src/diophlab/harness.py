@@ -11,7 +11,6 @@ sequence and every reduction runs in a fixed order.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -214,12 +213,6 @@ def _psi_from_frac(frac: np.ndarray) -> np.ndarray:
     return np.where(frac > 0.0, 0.5 - frac, -0.5)
 
 
-#: Multipliers per exact phase call in ``bound_audit``.  It bounds the limb
-#: temporaries of ``frac_multiples`` (about 0.6 MiB at this size) whatever
-#: the size of the batch.
-_PHASE_CHUNK = 1 << 12
-
-
 def bound_audit(P: int, cfg: ApproxConfig, table: ArithTable,
                 degree: int | None = None,
                 u: float | None = None) -> list[AuditRow]:
@@ -230,12 +223,15 @@ def bound_audit(P: int, cfg: ApproxConfig, table: ArithTable,
     closed forms.  The sums U_tilde, Z1, Z2 and Z2(L) are invariant under
     j -> -j and share one pass over the half index box
     (``weighted_index_box``, each term doubled).  Since frac(m * (l*theta))
-    = frac((l*m) * theta) exactly, each theta = j.c evaluates its phases
-    once, on the products l*m of all l, by exact calls in chunks of
-    ``_PHASE_CHUNK``.  The inner Lambda-sums are computed once: Z2 reads
-    them as sum b(l) * inner, and each dyadic block [L, min(2L, l_max)] of
-    Z2(L) as sum |b(l)| * |inner|.  Every sum adds in l order, as a loop
-    over l would, so the rows do not depend on the batching.  Default
+    = frac((l*m) * theta) exactly, and every multiplier l*m lies in the
+    Lambda window up to float rounding of its ends, each theta = j.c
+    reduces one phase table over the distinct integers from the least to
+    the greatest l*m, by one exact call; every sum gathers its terms from
+    that table.  The Z2 inner Lambda-sums are summed row-wise, one matrix
+    per term length, and computed once: Z2 reads them as sum b(l) * inner,
+    and each dyadic block [L, min(2L, l_max)] of Z2(L) as sum |b(l)| *
+    |inner|.  Every sum adds the same terms in the same order as a loop
+    over l would, so the rows do not depend on the layout.  Default
     parameters follow the final choices: degree J = floor(P**(1/(3k+2))),
     split u = P**(2/5); P >= 2, a nonempty ``WindowParams.lambda_window``
     and a finite u >= 1 are required.
@@ -259,139 +255,129 @@ def bound_audit(P: int, cfg: ApproxConfig, table: ArithTable,
     log2p = math.log(2.0 * P)
     eps = cfg.epsilon
 
-    lam = table.von_mangoldt_range(n_lo, n_hi)
-    support = np.nonzero(lam)[0]
+    # Lambda on all of [1, bP]: the window's n, and the m of the Z2 sums
+    lam_all = table.von_mangoldt_range(1, n_hi)
+    support = np.nonzero(lam_all[n_lo - 1:])[0]
     ns = (support + n_lo).astype(np.int64)
-    lam_s = lam[support]
+    lam_s = lam_all[ns - 1]
 
-    # ---- T_A and U_A: sawtooth and polynomial product sums -------------
+    # ---- T_A, U_A, V_A exact and V_d tilde -----------------------------
     poly = VaalerPolynomial.build(J)
     prod_psi = np.ones(ns.size)
     prod_star = np.ones(ns.size)
+    all_n = np.arange(n_lo, n_hi + 1, dtype=np.int64)
+    v_a = v_tilde = 0.0
     for ci in cfg.c.entries:
-        fr = frac_multiples(ci, ns)
+        fr_all = frac_multiples(ci, all_n)
+        fr = fr_all[support]
         # frac(c n + delta) from exact frac(c n); delta is a float offset
         fr_delta = (fr + delta) % 1.0
         prod_psi *= _psi_from_frac(fr_delta) - _psi_from_frac(fr)
         prod_star *= (poly.psi_star(((-fr_delta) % 1.0))
                       - poly.psi_star((-fr) % 1.0))
+        v_a += float(np.sum(fejer_tau(J, (-(fr_all + delta)) % 1.0)
+                            + fejer_tau(J, (-fr_all) % 1.0)))
+        v_tilde += min_sum(ci, P, J)
     t_a = float(np.sum(lam_s * prod_psi))
     u_a = float(np.sum(lam_s * prod_star))
-
-    # ---- V_A exact and V_d tilde ---------------------------------------
-    all_n = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    v_a = v_tilde = 0.0
-    for ci in cfg.c.entries:
-        fr = frac_multiples(ci, all_n)
-        v_a += float(np.sum(fejer_tau(J, (-(fr + delta)) % 1.0)
-                            + fejer_tau(J, (-fr) % 1.0)))
-        v_tilde += min_sum(ci, P, J)
     v_a *= log2p
 
-    # ---- the multipliers l*m of U_tilde, Z2 and Z1, built once ----------
-    # Layout: ns (U_tilde, l = 1), then l*sub per Z2 term, then l*m per Z1
-    # window, so the Lambda-weighted terms form one prefix.
-    pieces = [ns]
-    weights = [lam_s]
-
+    # ---- the multipliers l*m of Z2 and Z1, built once -------------------
     # Z2: the l with b(l) != 0 in [l_min, l_max] and the prime powers m > u
-    # of their windows.  Z2(L) sums the dyadic block [L, min(2L, l_max)] of
-    # the same l; since a*mu/b < 1, l_min <= floor(u) <= L.
+    # of their windows, in l order.  Z2(L) sums the dyadic block
+    # [L, min(2L, l_max)] of the same l; since a*mu/b < 1, l_min <=
+    # floor(u) <= L.
     l_min = int(math.floor(a * mu * uu / b))
     l_max = int(math.floor(b * P / uu))
     bl = b_array(max(2 * l_max + 1, 2), uu, table)
-    # the m-sums below need Lambda on all of [1, bP]
-    lam_all = table.von_mangoldt_range(1, n_hi)
     ns_lam = (np.nonzero(lam_all)[0] + 1).astype(np.int64)
-    z2_terms = []  # (l, b(l), start, end) of its slice of the multipliers
-    pos = ns.size
-    for l in range(max(1, l_min), l_max + 1):
-        coeff = int(bl[l])
-        m1 = max(int(uu) + 1, int(math.ceil(P * a * mu / l)))
-        m2 = int(math.floor(b * P / l))
-        if coeff == 0 or m2 < m1:
-            continue
-        sub = ns_lam[np.searchsorted(ns_lam, m1, side="left"):
-                     np.searchsorted(ns_lam, m2, side="right")]
-        if sub.size:
-            pieces.append(l * sub)
-            weights.append(lam_all[sub - 1])
-            z2_terms.append((l, coeff, pos, pos + sub.size))
-            pos += sub.size
-    n_weighted = pos
-    term_ls = [term[0] for term in z2_terms]
-    blocks = []  # (L, first and end index into z2_terms)
+    ls = np.arange(max(1, l_min), l_max + 1, dtype=np.int64)
+    m1 = np.maximum(int(uu) + 1, np.ceil(P * a * mu / ls)).astype(np.int64)
+    starts = np.searchsorted(ns_lam, m1, side="left")
+    sizes = np.searchsorted(ns_lam, np.floor(b * P / ls).astype(np.int64),
+                            side="right") - starts
+    keep = (bl[ls] != 0) & (sizes > 0)
+    term_ls, starts, sizes = ls[keep], starts[keep], sizes[keep]
+    coeffs = bl[term_ls].tolist()
+    blocks = []  # (L, first and end index into the Z2 terms)
     L = max(int(uu), 1)
     while L <= l_max:
-        blocks.append((L, bisect_left(term_ls, L),
-                       bisect_right(term_ls, min(2 * L, l_max))))
+        blocks.append((L, np.searchsorted(term_ls, L, side="left"),
+                       np.searchsorted(term_ls, min(2 * L, l_max),
+                                       side="right")))
         L *= 2
 
-    # Z1: the m-window of each 1 <= l <= u**2; every window past l = bP is
-    # empty.  A window's suffix sums are the cumsum of its reversed terms.
-    # Windows of one power-of-two width W share a gather matrix whose rows
-    # are the reversed windows padded with index -1, the trailing 0j of the
-    # term buffer.  The padding comes after a window's last term and adds 0
-    # to its total, so a row's cumsum holds the window's suffix sums bit for
-    # bit.
-    z1_starts, z1_lengths = [], []
-    for l in range(1, int(min(uu * uu, n_hi)) + 1):
-        m_lo = max(1, int(math.ceil(P * a * mu / l)))
-        m_hi = int(math.floor(b * P / l))
-        if m_hi >= m_lo:
-            pieces.append(l * np.arange(m_lo, m_hi + 1, dtype=np.int64))
-            z1_starts.append(pos)
-            z1_lengths.append(m_hi - m_lo + 1)
-            pos += m_hi - m_lo + 1
-    mults = np.concatenate(pieces)
-    lam_w = np.concatenate(weights)
+    # Z1: the m-window [m_lo, m_hi] of each 1 <= l <= u**2; every window
+    # past l = bP is empty.  A window's suffix sums are the cumsum of its
+    # reversed terms.
+    z1_ls = np.arange(1, int(min(uu * uu, n_hi)) + 1, dtype=np.int64)
+    m_lo = np.maximum(1, np.ceil(P * a * mu / z1_ls)).astype(np.int64)
+    m_hi = np.floor(b * P / z1_ls).astype(np.int64)
+    keep = m_hi >= m_lo
+    z1_ls, m_lo, m_hi = z1_ls[keep], m_lo[keep], m_hi[keep]
+
+    # The phase table covers [lo, hi], the least and greatest multiplier,
+    # and ends in 0j at index -1.  The sums read it through index arrays.
+    ends = [ns, z1_ls * m_lo, z1_ls * m_hi, term_ls * ns_lam[starts],
+            term_ls * ns_lam[starts + sizes - 1]]
+    lo = min(int(e.min()) for e in ends if e.size)
+    hi = max(int(e.max()) for e in ends if e.size)
+    span = np.arange(lo, hi + 1, dtype=np.int64)
+    phase = np.zeros(span.size + 1, dtype=np.complex128)
+    index_type = np.min_scalar_type(-phase.size)  # holds -1 and every index
+
+    # Z2 terms of one length share an index matrix, one row per term.
+    z2_groups = []  # (term numbers, table indices, Lambda weights)
+    for size in np.unique(sizes):
+        rows = np.nonzero(sizes == size)[0]
+        sub = ns_lam[starts[rows, None] + np.arange(size)]
+        z2_groups.append((rows, (term_ls[rows, None] * sub - lo)
+                          .astype(index_type), lam_all[sub - 1]))
+
+    # Z1 windows of one power-of-two width share a gather matrix whose rows
+    # are the reversed windows padded with index -1.  The padding comes
+    # after a window's last term and adds 0 to its total, so a row's cumsum
+    # holds the window's suffix sums bit for bit.
+    lengths = m_hi - m_lo + 1
+    widths = np.left_shift(1, np.frexp(lengths - 1)[1])  # least 2**e >= n
     z1_groups = []  # (window numbers, gather matrix)
-    index_type = np.min_scalar_type(-mults.size)  # holds -1 and every index
-    lengths = np.array(z1_lengths, dtype=np.int64)
-    lasts = np.array(z1_starts, dtype=np.int64) + lengths - 1
-    widths = np.array([1 << (n - 1).bit_length() for n in z1_lengths],
-                      dtype=np.int64)
     for width in np.unique(widths):
         rows = np.nonzero(widths == width)[0]
         cols = np.arange(width)
-        gather = (lasts[rows, None] - cols).astype(index_type)
-        gather[cols >= lengths[rows, None]] = -1
-        z1_groups.append((rows, gather))
+        gather = np.where(cols < lengths[rows, None],
+                          (z1_ls * m_hi - lo)[rows, None]
+                          - z1_ls[rows, None] * cols, -1)
+        z1_groups.append((rows, gather.astype(index_type)))
 
     # ---- U_tilde, Z1, Z2 and Z2(L): one pass over the half index box ---
-    terms = np.zeros(mults.size + 1, dtype=np.complex128)  # last stays 0j
-    weighted = terms[:n_weighted]
-    maxima = np.empty(len(z1_lengths))
+    u_index = ns - lo
+    maxima = np.empty(z1_ls.size)
+    inner = np.empty(len(coeffs), dtype=np.complex128)
     u_tilde = z1 = z2 = 0.0
     block_sums = [0.0] * len(blocks)
     for weight, theta in weighted_index_box(J, cfg.c):
-        for lo in range(0, mults.size, _PHASE_CHUNK):
-            hi = min(lo + _PHASE_CHUNK, mults.size)
-            np.exp(2j * np.pi * frac_multiples(theta, mults[lo:hi]),
-                   out=terms[lo:hi])
+        np.exp(2j * np.pi * frac_multiples(theta, span), out=phase[:-1])
 
         for rows, gather in z1_groups:
-            suffix = np.cumsum(terms[gather], axis=1)
+            suffix = np.cumsum(phase[gather], axis=1)
             maxima[rows] = np.abs(suffix).max(axis=1)
-        acc = 0.0
-        for m in maxima.tolist():  # in l order, as a sequential sum
-            acc += m
-        z1 += 2.0 * weight * acc
+        # in l order: a float cumsum adds left to right, as a loop does
+        z1 += 2.0 * weight * float(np.cumsum(maxima)[-1])
 
-        np.multiply(lam_w, weighted, out=weighted)
-        z = np.sum(weighted[:ns.size])
+        z = np.sum(lam_s * phase[u_index])
         u_tilde += 2.0 * weight * abs(z)  # |sum| is invariant under j -> -j
 
+        for rows, index, lam in z2_groups:
+            inner[rows] = (lam * phase[index]).sum(axis=1)
         acc_signed = 0j
         absolute = []
-        for _, coeff, lo, hi in z2_terms:
-            inner = np.sum(weighted[lo:hi])
-            acc_signed += coeff * inner
-            absolute.append(abs(coeff) * abs(inner))
+        for coeff, term in zip(coeffs, inner):
+            acc_signed += coeff * term
+            absolute.append(abs(coeff) * abs(term))
         z2 += 2.0 * weight * abs(acc_signed)
-        for i, (_, lo, hi) in enumerate(blocks):
+        for i, (_, first, end) in enumerate(blocks):
             acc = 0.0
-            for term in absolute[lo:hi]:
+            for term in absolute[first:end]:
                 acc += term
             block_sums[i] += 2.0 * weight * acc
 

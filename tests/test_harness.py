@@ -1,17 +1,20 @@
 import itertools
 import math
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diophlab import harness
 from diophlab.counting import (ApproxConfig, WindowParams, window_counts,
                                witness_integral)
 from diophlab.errors import ContractError, RangeError
-from diophlab.fixedreal import FixedReal, constant
+from diophlab.fixedreal import CVector, FixedReal, constant
 from diophlab.fourier import dist_multiples, frac_multiples
 from diophlab.harness import (
     average_error_check,
@@ -253,25 +256,44 @@ class TestBoundAudit:
         assert rows["Z2_L"].parameters["L"] == 10**9
         assert rows["Z1"].exact_value > 0.0
 
-    def test_one_phase_call_per_theta_chunk(self, golden_cfg, table_small,
-                                            monkeypatch):
-        sizes = []
+    def test_one_phase_call_per_theta(self, golden_cfg, table_small,
+                                      monkeypatch):
+        sizes, layout_lines = [], []
 
         def spy(theta, n):
             sizes.append(len(n))
             return frac_multiples(theta, n)
 
+        def trace_audit(frame, event, arg):
+            if frame.f_code is not bound_audit.__code__:
+                return None
+
+            def count_lines(frame, event, arg):
+                if event == "line" and len(sizes) <= golden_cfg.d:
+                    layout_lines.append(frame.f_lineno)
+                return count_lines
+            return count_lines
+
         monkeypatch.setattr(harness, "frac_multiples", spy)
-        bound_audit(2**13, golden_cfg, table_small)
-        # one call per (theta, l) pair made 9,218 calls on these same
-        # 205,695 multipliers; each theta's batch is cut into full chunks
-        assert len(sizes) < 100
-        assert sum(sizes) == 205_695
-        assert harness._PHASE_CHUNK in sizes
+        outer = sys.gettrace()
+        sys.settrace(trace_audit)
+        try:
+            bound_audit(2**13, golden_cfg, table_small)
+        finally:
+            sys.settrace(outer)
+        # one call per slope over the Lambda window [12288, 16384], then one
+        # per theta (J = 6) over the table of the distinct l*m, which is the
+        # same window here.  Calls on a copy of every l*m made 205,695
+        # elements in chunks; one call per (theta, l) pair made 9,218 calls.
+        assert sizes == [4097] * (golden_cfg.d + 6)
+        assert sum(sizes) == 28_679
+        # the layout is built by array operations: a Python loop over the
+        # l <= u**2 = 1351 of the Z1 windows made 14,779 line events here
+        assert len(layout_lines) < 1000
 
     def test_audit_memory_bounded(self, golden_cfg, table_big):
-        # phases are evaluated in chunks into one term buffer: about 18 MiB
-        # at this size, against about 59 MiB for one unchunked call per theta
+        # one phase table per theta over the distinct l*m: about 9 MiB at
+        # this size, against 18.4 MiB for a copy of every l*m in chunks
         bound_audit(2**10, golden_cfg, table_big)
         tracemalloc.start()
         try:
@@ -279,7 +301,7 @@ class TestBoundAudit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak < 16 * 2**20
 
     def test_doubling_exact_t_a(self, golden_cfg, table_big):
         # Two-point slope check, artifact-derived pin: T_A oscillates, and
@@ -293,10 +315,11 @@ class TestBoundAudit:
         assert factor <= math.log(2 * 10**4) ** 3
 
 
-def reference_theta_sums(P, cfg, table):
-    """U_tilde, Z1, Z2 and Z2(L) of ``bound_audit`` at its default J and u,
-    in four separate loops over magnitudes then signs (the mirror image
-    j -> -j skipped), each Z2(L) block recomputing its inner sums.
+def reference_theta_sums(P, cfg, table, u=None):
+    """U_tilde, Z1, Z2 and Z2(L) of ``bound_audit`` at its default J and
+    split u (or the given u), in four separate loops over magnitudes then
+    signs (the mirror image j -> -j skipped), each Z2(L) block recomputing
+    its inner sums, every phase reduced by its own call.
 
     Returns (Z1, Z2, Z2_L, its L, U_tilde).
     """
@@ -304,7 +327,7 @@ def reference_theta_sums(P, cfg, table):
     a, b = cfg.A, cfg.B
     mu = (a + b) / (2.0 * a)
     J = max(1, int(float(P) ** (1.0 / (3.0 * k + 2.0))))
-    uu = float(P) ** 0.4
+    uu = float(P) ** 0.4 if u is None else u
     n_lo = int(math.ceil(P * a * mu))
     n_hi = int(math.floor(b * P))
     lam = table.von_mangoldt_range(n_lo, n_hi)
@@ -331,7 +354,7 @@ def reference_theta_sums(P, cfg, table):
         z = np.sum(lam_s * np.exp(2j * np.pi * phases))
         u_tilde += 2.0 * weight * abs(z)
 
-    u_sq = int(uu * uu)
+    u_sq = int(min(uu * uu, n_hi))  # every window past l = bP is empty
     z1 = 0.0
     for weight, theta_raw in half_index_box():
         acc = 0.0
@@ -379,8 +402,8 @@ def reference_theta_sums(P, cfg, table):
     z2 = 0.0
     for weight, theta_raw in half_index_box():
         z2 += 2.0 * weight * z2_block(l_min, l_max, theta_raw, False)
-    z2_l_best, z2_l_arg = 0.0, 0
-    L = max(int(uu), 1)
+    z2_l_best = 0.0
+    z2_l_arg = L = max(int(uu), 1)
     while L <= l_max:
         val = 0.0
         for weight, theta_raw in half_index_box():
@@ -405,17 +428,43 @@ class TestBoundAuditReference:
 
     def test_theta_sums_bit_identical_across_chunks(self, golden_cfg,
                                                     table_small):
-        # at 2**13 each theta's batch of multipliers spans several
-        # _PHASE_CHUNKs, so windows and Z2 terms straddle chunk boundaries
+        # the largest case (the name is from the chunked phase calls): at
+        # 2**13 the phase table has 2,049 entries, the Z1 windows 13
+        # power-of-two widths and the 139 Z2 terms 11 lengths
         self.assert_theta_sums_match(golden_cfg, (1.0, 1.5), 2**13,
                                      table_small)
 
+    # On windows [e0/8, e1/8], P * a * mu = P * (e0 + e1) / 16 is an
+    # integer where 16 divides P, so the float ceil of P * a * mu / l sits
+    # on its edge for the l that divide it.  The phase table must reach
+    # every multiplier, wherever that puts its ends.
+    @settings(max_examples=8)
+    @example(P=48, ends=[9, 12])  # fl(P * a * mu) is one ulp above 63
+    @example(P=1000, ends=[11, 15])
+    @given(P=st.integers(40, 700) | st.integers(3, 44).map(lambda q: 16 * q),
+           ends=st.lists(st.integers(8, 16), min_size=2, max_size=2,
+                         unique=True).map(sorted))
+    @pytest.mark.parametrize("u", [None, 1.0, 2.5, 1e9])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_theta_sums_match_reference_random(self, table_small, d, u, P,
+                                               ends):
+        if d == 1:
+            base = ApproxConfig(c=CVector((constant("phi"),), 1.0),
+                                epsilon=0.1, A=1.0, B=2.0)
+        else:
+            base = ApproxConfig(c=CVector((constant("sqrt2"),
+                                           constant("sqrt3")), 2.0),
+                                epsilon=0.05, A=1.0, B=2.0)
+        self.assert_theta_sums_match(base, (ends[0] / 8, ends[1] / 8), P,
+                                     table_small, u)
+
     @staticmethod
-    def assert_theta_sums_match(base, window, P, table):
+    def assert_theta_sums_match(base, window, P, table, u=None):
         cfg = ApproxConfig(c=base.c, epsilon=base.epsilon,
                            A=window[0], B=window[1])
-        z1, z2, z2_l, z2_l_arg, u_tilde = reference_theta_sums(P, cfg, table)
-        rows = {r.label: r for r in bound_audit(P, cfg, table)}
+        z1, z2, z2_l, z2_l_arg, u_tilde = reference_theta_sums(P, cfg, table,
+                                                               u)
+        rows = {r.label: r for r in bound_audit(P, cfg, table, u=u)}
         assert rows["Z1"].exact_value == z1
         assert rows["Z2"].exact_value == z2
         assert rows["Z2_L"].exact_value == z2_l
