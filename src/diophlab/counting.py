@@ -214,7 +214,7 @@ class SieveSideCounts:
 # Witness counting
 # ----------------------------------------------------------------------
 
-def _float_prefilter(nf: np.ndarray, scale: float, thr):
+def _float_prefilter(nf: np.ndarray, scale: float, thr, exact=False):
     """The float64 prefilter of the test frac(n t) < thr, for an exact
     fixed-point t > 0 given correctly rounded as ``scale`` and integers 0 <
     n < 2**53 given as float64 ``nf``; ``thr`` may be an upper bound of the
@@ -226,15 +226,19 @@ def _float_prefilter(nf: np.ndarray, scale: float, thr):
     t) = floor(x) and frac(n t) > 0; there frac(x) >= thr + m proves frac(n
     t) >= thr.  The roundings of 1 - m and thr + m stay below 7 m / 8, as
     frac(x) near 1 needs x > 1/2 and frac(x) >= thr + m needs x > thr / 2.
-    Returns the mask of the n the test does not reject, and floor(x) where
-    it is proven and -1 elsewhere.
+    Where the mask ``exact`` holds, fl(t) = t and n fl(t) is exact, so x = n
+    t: there m = 0, every n is decided, and frac(x) = 0 rejects too, for the
+    test 0 < frac(n t) < thr of ``count_witnesses``.  Returns the mask of
+    the n the test does not reject, and floor(x) where it is proven and -1
+    elsewhere.
     """
     x = nf * scale
     whole = np.floor(x)
     frac = x - whole
-    m = x * 2.0**-48 + 2.0**-60
+    m = np.where(exact, 0.0, x * 2.0**-48 + 2.0**-60)
     sure = (frac >= m) & (frac <= 1.0 - m)
-    return ~(sure & (frac >= thr + m)), np.where(sure, whole, -1.0)
+    return (~(sure & ((frac >= thr + m) | (frac == 0.0))),
+            np.where(sure, whole, -1.0))
 
 
 def count_witnesses(alpha: FixedReal, cfg: ApproxConfig, N: int,
@@ -257,6 +261,9 @@ def count_witnesses(alpha: FixedReal, cfg: ApproxConfig, N: int,
        prime or frac(x) >= thr_up + m, where thr_up = np.power(p, eps -
        gamma) (1 + 2**-40) is above thr_p.  Likewise each x_i in turn, on
        the primes left, with floor(x_i) = 0 (q_i < 1) for r not prime.
+       Where alpha_f = alpha and p times the numerator of alpha_f is at
+       most 2**53, x = p alpha exactly and the alpha test needs no margin:
+       an integer alpha rejects every such prime, as frac(p alpha) = 0.
     2. The limb kernel of ``fourier`` decides the survivors exactly: r
        prime first, then frac(p alpha) and each frac(p c_i alpha), q_i >=
        1 with it, against thr_p = ``cfg.slack_threshold(p)``, taken on the
@@ -278,13 +285,18 @@ def count_witnesses(alpha: FixedReal, cfg: ApproxConfig, N: int,
         )
     slopes = [ci.raw * alpha.raw for ci in cfg.c.entries]  # 256 frac bits
     alpha_f, slope_fs = alpha.raw / SCALE, [s / (1 << 256) for s in slopes]
+    # where alpha_f = alpha, p alpha_f is exact in float64 for p <= p_exact:
+    # p times the numerator of alpha_f is then an integer up to 2**53
+    alpha_q = Fraction(alpha_f)
+    p_exact = ((1 << 53) // alpha_q.numerator
+               if alpha_q == Fraction(alpha.raw, SCALE) else 0)
     primes = table.primes_between(2, N)
     survivors = []
     for start in range(0, primes.size, SCAN_CHUNK):
         p = primes[start:start + SCAN_CHUNK]
         pf = p.astype(np.float64)
         thr_up = np.power(pf, cfg.exponent) * (1 + 2.0**-40)
-        keep, r = _float_prefilter(pf, alpha_f, thr_up)
+        keep, r = _float_prefilter(pf, alpha_f, thr_up, p <= p_exact)
         # r = -1 where the prefilter leaves r open
         keep &= (r < 0) | table.prime_flags[np.maximum(r, 0).astype(np.int64)]
         for s in slope_fs:
@@ -359,14 +371,16 @@ def _check_integral(a, b, cfg: ApproxConfig, method: str = "auto"):
 
 
 def _window_primes(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
-                   method: str = "auto"):
-    """The primes p <= N and their slack thresholds, once ``_check_integral``
-    passes, and a table reaching every partner r <= b*N + 1."""
+                   method: str = "auto", above: int = 0):
+    """The primes above < p <= N and their slack thresholds, once
+    ``_check_integral`` passes, and a table reaching every partner r <= b*N
+    + 1."""
     b_fr = _check_integral(a, b, cfg, method)[1]
     need = int(math.ceil(float(b_fr) * N)) + 1
     if need > table.limit:
         raise RangeError(f"table limit {table.limit} too small; need >= {need}")
-    ps = table.primes[:np.searchsorted(table.primes, N, side="right")]
+    ps = table.primes[np.searchsorted(table.primes, above, side="right"):
+                      np.searchsorted(table.primes, N, side="right")]
     return ps, cfg.slack_threshold(ps)
 
 
@@ -673,7 +687,9 @@ def _band_sum(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
     u are monotone in p, so each condition on a pair holds on a prefix or a
     suffix of the primes, and one ``_sweep`` per family and ramp gives each
     prime's S - u n: O(J pi(bN) log pi(N)) time and O(pi(bN)) memory.  The
-    boundary pairs go to ``_box_sum``.
+    keys are taken in order of x_1, so every search of x_1 runs over sorted
+    keys; the counts do not depend on that order, and the sums only in
+    rounding.  The boundary pairs go to ``_box_sum``.
     """
     cs = cfg.c.floats()
     lo, i0, i1, hi, ends = _float_ranges(primes, pf, eta, a, b, cfg)
@@ -684,6 +700,8 @@ def _band_sum(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
     n_k = [_window_count(c.raw, e_max) for c in cfg.c.entries]
     n, size = int(i1.max()), pf.size
     xs = [frac_multiples(c, primes[:n]) % 1.0 for c in cfg.c.entries]
+    order = np.argsort(xs[0], kind="stable")  # the key order
+    xs = [x[order] for x in xs]
     # (weight, y, s, v, V) is weight [v < x_2 < V] F(y + s), y = 0 for x_1
     # and 1 for w; a pair (e0, e1) stands for e0 + e1 eta, None for no bound
     if cfg.d == 1:
@@ -716,7 +734,8 @@ def _band_sum(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
             if (u[0] + u[1] * eta).min() < 1.0:  # y < 1, so u >= 1 adds 0
                 group[y, u] = group.get((y, u), 0) + weight * (1 - 2 * tau)
 
-    interior = _interior_runs(ends, n)
+    interior = [tuple(v[order] if np.ndim(v) else v for v in run)
+                for run in _interior_runs(ends, n)]
     inner = np.zeros(size)
     for (v, V), group in families.items():
         runs = list(interior)
@@ -1028,13 +1047,28 @@ def _rank_exact_sum(a, b, cfg: ApproxConfig, ps: np.ndarray, eta: np.ndarray,
                      dict(zip(ps.tolist(), total.tolist())))
 
 
+def _integral_method(method: str, N: int) -> str:
+    """The method an integral with p <= N runs: 'auto' is exact up to
+    EXACT_INTEGRAL_DEFAULT_LIMIT and fast above it."""
+    if method != "auto":
+        return method
+    return "exact" if N <= EXACT_INTEGRAL_DEFAULT_LIMIT else "fast"
+
+
 def witness_integral(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
-                     method: str = "auto"):
-    """Integral over alpha in [a, b] of the witness count with p <= N.
+                     method: str = "auto", *, above: int = 0):
+    """Integral over alpha in [a, b] of the witness count with above < p <=
+    N.
 
     method='exact' returns the integral as an exact Fraction (integer
     interval arithmetic, normalised once); method='fast' returns a float64
-    evaluation with relative error well below 1e-6; 'auto' switches on N.
+    evaluation with relative error well below 1e-6; 'auto' switches on N,
+    not on ``above``.  Every prime's term is independent of N and of the
+    other primes, so the integrals of disjoint blocks (N_0, N_1], (N_1,
+    N_2], ... of one method add up to the integral with p <= N_k:
+    ``harness.lower_bound_check`` takes each prime's term once per grid
+    this way.  ``above`` is an int with 0 <= above <= N (0 for any N, the
+    default), checked before any work.
     For d = 1 neither path, and for d = 2 the fast path, visits the
     interior pairs: ``_d1_exact_sum`` (d = 1, 128-bit integers) and
     ``_band_sum`` (d <= 2, float64) sum them by ``_sweep``, one pass over
@@ -1043,17 +1077,19 @@ def witness_integral(a, b, cfg: ApproxConfig, N: int, table: ArithTable,
     ``_rank_exact_sum``, visits the interior pairs in numpy on exact
     integer ranks, with no big-integer step per pair, and walks only the
     boundary ranges.  The fast path sums every pair with ``_box_sum`` for d
-    >= 3.  Every path reads the thresholds of the primes p <= N, taken
-    once.  A sweep needs them monotone in p, so the exact kernels and
+    >= 3.  Every path reads the thresholds of the primes above < p <= N,
+    taken once.  A sweep needs them monotone in p, so the exact kernels and
     ``_band_sum`` take the primes in the maximal runs on which eta_p is
     nonincreasing, one call per run: one run on every tested exponent, as
     ``slack_threshold`` falls in p there.  ``_check_integral`` checks the
     method and the window ends before any work.
     """
-    ps, eta = _window_primes(a, b, cfg, N, table, method)
-    if method == "auto":
-        method = "exact" if N <= EXACT_INTEGRAL_DEFAULT_LIMIT else "fast"
-    if not ps.size:  # no prime p <= N: every kernel below needs one
+    if (isinstance(above, bool) or not isinstance(above, int)
+            or not 0 <= above <= max(N, 0)):
+        raise ContractError(f"above={above!r} must be an int in [0, N={N}]")
+    ps, eta = _window_primes(a, b, cfg, N, table, method, above)
+    method = _integral_method(method, N)
+    if not ps.size:  # no prime in (above, N]: every kernel below needs one
         return Fraction(0) if method == "exact" else 0.0
     primes = table.primes
     a_f, b_f = float(Fraction(a)), float(Fraction(b))

@@ -21,6 +21,7 @@ from .counting import (
     ApproxConfig,
     WindowParams,
     _check_integral,
+    _integral_method,
     count_witnesses,
     sieve_error_sum,
     target_growth,
@@ -135,12 +136,34 @@ def lower_bound_check(a: float, b: float, n_grid: list[int], cfg: ApproxConfig,
     ratio = integral / ((b-a) * target).  The strict nondecreasing flag and
     the pinned-drift regression flag both cover the top half of the grid.
     The method and the window ends are checked before the table is built.
+
+    The integral is a sum of per-prime terms that do not depend on N, so
+    one pass over the primes serves the whole grid: ``witness_integral``
+    integrates the disjoint blocks (N_{i-1}, N_i] (``above=N_{i-1}``),
+    through ``map_ordered``, and row i adds its block to row i - 1 in grid
+    order.  The sum restarts at the block (0, N_i] wherever the method that
+    'auto' resolves to changes, so each row keeps the method and the value
+    of ``witness_integral(a, b, cfg, N_i, table, method=method)``: the same
+    Fraction on the exact path, and within float rounding on the fast one.
     """
     _check_integral(a, b, cfg, method)
     table = _grid_table(n_grid, table, b)
+    # per row (above, N, restart): the sum restarts where the method changes
+    blocks, prev, prev_kind = [], 0, None
+    for N in n_grid:
+        kind = _integral_method(method, N)
+        restart = kind != prev_kind
+        blocks.append((0 if restart else max(prev, 0), N, restart))
+        prev, prev_kind = N, kind
 
-    def one_row(N: int) -> HarnessRow:
-        integral = witness_integral(a, b, cfg, N, table, method=method)
+    def block(span) -> Fraction | float:
+        above, N, _ = span
+        return witness_integral(a, b, cfg, N, table, method=method,
+                                above=above)
+
+    rows, integral = [], None
+    for (_, N, restart), part in zip(blocks, map_ordered(block, blocks)):
+        integral = part if restart else integral + part
         if N >= 2:
             g_main = target_growth(cfg, N)
             g_alt = target_growth_alt(cfg, N)
@@ -148,10 +171,9 @@ def lower_bound_check(a: float, b: float, n_grid: list[int], cfg: ApproxConfig,
         else:  # below the first prime: empty count, zero ratio
             g_main = g_alt = 0.0
             ratio = 0.0
-        return HarnessRow(N=N, a=a, b=b, integral=integral,
-                          target_main=g_main, target_alt=g_alt, ratio=ratio)
-
-    rows = map_ordered(one_row, n_grid)
+        rows.append(HarnessRow(N=N, a=a, b=b, integral=integral,
+                               target_main=g_main, target_alt=g_alt,
+                               ratio=ratio))
     ratios = [r.ratio for r in rows]
     top = ratios[len(ratios) // 2:]
     strict = all(top[i + 1] >= top[i] for i in range(len(top) - 1))

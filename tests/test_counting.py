@@ -549,6 +549,21 @@ class TestCountWitnesses:
                 inside = t in (NEAR, thr - NEAR) or (j and t == 1 + NEAR)
                 assert any(w.p == p for w in tuples) == inside
 
+    @pytest.mark.parametrize("p", [3, 11, 13, 37])
+    def test_prefilter_keeps_the_margin_where_p_alpha_rounds(
+            self, golden_cfg, table_small, p):
+        # alpha_f = alpha, but p alpha_f needs 54 bits and rounds to the
+        # prime r: frac(p alpha) = 2**-52 > 0, and p is a witness that only
+        # a margin (or the limb test) sees, so the margin-free alpha test
+        # holds only where p alpha_f is exact
+        alpha = FixedReal.from_fraction(
+            1 + Fraction(pow(p, -1, 1 << 52), 1 << 52))
+        assert p * alpha.to_fraction() % 1 == Fraction(1, 1 << 52)
+        got, tuples = count_witnesses(alpha, golden_cfg, p, table_small)
+        want = reference_count_witnesses(alpha, golden_cfg, p, table_small)
+        assert p in want
+        assert got == len(want) and [t.p for t in tuples] == want
+
     @settings(max_examples=30)
     @given(cfg=random_configs(),
            alpha=st.one_of(
@@ -587,6 +602,16 @@ class TestCountWitnesses:
             multiplied.clear()
             count_witnesses(alpha, golden_cfg, 2**18, table_big, collect=False)
             assert 0 < len(multiplied) < 0.05 * primes
+        # where p alpha is exact in float64 the alpha test needs no margin:
+        # an integer alpha (frac(p alpha) = 0) sends no prime to the limbs
+        for value in (1, 2, Fraction(3, 2)):
+            alpha = FixedReal.from_fraction(value)
+            multiplied.clear()
+            got, _ = count_witnesses(alpha, golden_cfg, 2**18, table_big,
+                                     collect=False)
+            assert len(multiplied) < 0.05 * primes
+            assert got == len(reference_count_witnesses(
+                alpha, golden_cfg, 2**18, table_big))
 
     def test_table_checked_before_scan(self, golden_cfg, monkeypatch):
         from diophlab.arith import ArithTable, build_arith_table
@@ -645,6 +670,50 @@ class TestWitnessIntegral:
     def test_empty(self, golden_cfg, table_small):
         assert witness_integral(1.0, 2.0, golden_cfg, 1, table_small,
                                 method="exact") == 0
+
+    @pytest.mark.parametrize("cfg_name, N, M", [
+        ("golden_cfg", 3000, 1000), ("golden_cfg", 3000, 2999),
+        ("golden_cfg", 3000, 3000), ("golden_cfg", 25_000, 20_000),
+        ("two_dim_cfg", 1500, 700), ("two_dim_cfg", 40_000, 30_000)])
+    def test_above_splits_the_primes(self, request, table_small, cfg_name, N,
+                                     M):
+        # (0, M] and (M, N] add up to (0, N]: exactly on the exact path
+        cfg = request.getfixturevalue(cfg_name)
+        method = "exact" if N <= 3000 else "fast"
+        whole = witness_integral(1.125, 1.625, cfg, N, table_small,
+                                 method=method)
+        low = witness_integral(1.125, 1.625, cfg, M, table_small,
+                               method=method)
+        high = witness_integral(1.125, 1.625, cfg, N, table_small,
+                                method=method, above=M)
+        if method == "exact":
+            assert low + high == whole
+        else:
+            assert math.isclose(low + high, whole, rel_tol=1e-12)
+        # 'auto' resolves on N, not on above
+        auto = witness_integral(1.125, 1.625, cfg, N, table_small, above=M)
+        assert type(auto) is type(high) and auto == high
+
+    @pytest.mark.parametrize("above", [True, False, 2.0, "3", None, -1, 3001],
+                             ids=["true", "false", "float", "str", "none",
+                                  "negative", "above-N"])
+    def test_above_checked_before_any_work(self, golden_cfg, table_small,
+                                           monkeypatch, above):
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(counting, "_window_primes", no_work)
+        with pytest.raises(ContractError, match="above="):
+            witness_integral(1.0, 2.0, golden_cfg, 3000, table_small,
+                             above=above)
+
+    def test_above_zero_for_any_n(self, golden_cfg, table_small):
+        # the default stays valid where there is no prime at all
+        for N in (-3, 0, 1):
+            assert witness_integral(1.0, 2.0, golden_cfg, N, table_small,
+                                    above=0) == 0
+        assert witness_integral(1.0, 2.0, golden_cfg, 1, table_small,
+                                above=1) == 0
 
     def test_additivity_exact(self, golden_cfg, table_small):
         i1 = witness_integral(1.0, 1.25, golden_cfg, 3000, table_small,

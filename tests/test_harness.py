@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diophlab import harness
+from diophlab import counting, harness
 from diophlab.counting import (ApproxConfig, WindowParams, window_counts,
                                witness_integral)
 from diophlab.errors import ContractError, RangeError
@@ -62,6 +62,73 @@ class TestLowerBound:
         for row in report.rows:
             direct = witness_integral(1.0, 2.0, golden_cfg, row.N, table_small)
             assert row.integral == direct
+
+    GRIDS = {  # (cfg fixture, method, grid)
+        "d1-auto": ("golden_cfg", "auto",
+                    [0, 1, 2, 2**10, 2**13, 2**13, 20_000, 20_001, 2**15]),
+        "d1-exact": ("golden_cfg", "exact", [1, 2**9, 2**10, 2**10, 2**11]),
+        "d1-fast": ("golden_cfg", "fast", [2, 2**10, 2**12, 2**14, 2**14]),
+        "d2-auto": ("two_dim_cfg", "auto",
+                    [0, 1, 2**8, 2**9, 2**9, 2**10, 2**15]),
+        "d2-fast": ("two_dim_cfg", "fast", [1, 2**8, 2**12, 2**14]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_rows_equal_per_n_integrals(self, request, table_small, name):
+        # the running block sums against one witness_integral call per N:
+        # the same Fraction on the exact rows, rounding on the fast ones
+        cfg_name, method, grid = self.GRIDS[name]
+        cfg = request.getfixturevalue(cfg_name)
+        report = lower_bound_check(1.125, 1.625, grid, cfg, table=table_small,
+                                   method=method)
+        assert [r.N for r in report.rows] == grid
+        for row in report.rows:
+            direct = witness_integral(1.125, 1.625, cfg, row.N, table_small,
+                                      method=method)
+            assert type(row.integral) is type(direct)
+            if isinstance(direct, Fraction):
+                assert row.integral == direct
+                assert hash(row.integral) == hash(direct)
+            else:
+                assert math.isclose(row.integral, direct, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("name", ["d1-auto", "d2-fast"])
+    def test_rows_equal_with_two_threads(self, request, table_small,
+                                         monkeypatch, name):
+        cfg_name, method, grid = self.GRIDS[name]
+        cfg = request.getfixturevalue(cfg_name)
+        serial = lower_bound_check(1.125, 1.625, grid, cfg, table=table_small,
+                                   method=method)
+        monkeypatch.setenv("DIOPH_LAB_THREADS", "2")
+        threaded = lower_bound_check(1.125, 1.625, grid, cfg,
+                                     table=table_small, method=method)
+        assert threaded == serial
+
+    @pytest.mark.parametrize("name", ["d1-auto", "d2-auto"])
+    def test_kernels_see_each_prime_once(self, request, table_small,
+                                         monkeypatch, name):
+        # per grid, the exact kernels and the fast kernel each take a prime
+        # at most once; the sum restarts once, where 'auto' turns fast
+        seen = {"exact": [], "fast": []}
+
+        def spy(kernel, kind, arg):
+            def wrapped(*args):
+                seen[kind] += args[arg].tolist()
+                return kernel(*args)
+            return wrapped
+
+        for kernel, kind, arg in [("_d1_exact_sum", "exact", 3),
+                                  ("_rank_exact_sum", "exact", 3),
+                                  ("_band_sum", "fast", 1)]:
+            monkeypatch.setattr(counting, kernel,
+                                spy(getattr(counting, kernel), kind, arg))
+        cfg_name, method, grid = self.GRIDS[name]
+        lower_bound_check(1.125, 1.625, grid, request.getfixturevalue(
+            cfg_name), table=table_small, method=method)
+        for kind, top in (("exact", 20_000), ("fast", grid[-1])):
+            primes = table_small.primes_between(2, max(
+                n for n in grid if n <= top))
+            assert sorted(seen[kind]) == primes.tolist()
 
     def test_small_grid_ratios_positive(self, golden_cfg, table_small):
         # drift per octave is larger at small N; widen the pinned slack here
