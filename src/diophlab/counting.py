@@ -214,7 +214,7 @@ class SieveSideCounts:
 # Witness counting
 # ----------------------------------------------------------------------
 
-def _float_prefilter(nf: np.ndarray, scale: float, thr, exact=False):
+def _float_prefilter(nf: np.ndarray, scale: float, thr, exact: int = 0):
     """The float64 prefilter of the test frac(n t) < thr, for an exact
     fixed-point t > 0 given correctly rounded as ``scale`` and integers 0 <
     n < 2**53 given as float64 ``nf``; ``thr`` may be an upper bound of the
@@ -226,8 +226,8 @@ def _float_prefilter(nf: np.ndarray, scale: float, thr, exact=False):
     t) = floor(x) and frac(n t) > 0; there frac(x) >= thr + m proves frac(n
     t) >= thr.  The roundings of 1 - m and thr + m stay below 7 m / 8, as
     frac(x) near 1 needs x > 1/2 and frac(x) >= thr + m needs x > thr / 2.
-    Where the mask ``exact`` holds, fl(t) = t and n fl(t) is exact, so x = n
-    t: there m = 0, every n is decided, and frac(x) = 0 rejects too, for the
+    On the first ``exact`` n, fl(t) = t and n fl(t) is exact, so x = n t:
+    there m = 0, every n is decided, and frac(x) = 0 rejects too, for the
     test 0 < frac(n t) < thr of ``count_witnesses``.  Returns the mask of
     the n the test does not reject, and floor(x) where it is proven and -1
     elsewhere.
@@ -235,10 +235,13 @@ def _float_prefilter(nf: np.ndarray, scale: float, thr, exact=False):
     x = nf * scale
     whole = np.floor(x)
     frac = x - whole
-    m = np.where(exact, 0.0, x * 2.0**-48 + 2.0**-60)
+    m = x * 2.0**-48 + 2.0**-60
+    m[:exact] = 0.0
     sure = (frac >= m) & (frac <= 1.0 - m)
-    return (~(sure & ((frac >= thr + m) | (frac == 0.0))),
-            np.where(sure, whole, -1.0))
+    reject = sure & (frac >= thr + m)
+    if exact:
+        reject[:exact] |= frac[:exact] == 0.0
+    return ~reject, np.where(sure, whole, -1.0)
 
 
 def count_witnesses(alpha: FixedReal, cfg: ApproxConfig, N: int,
@@ -287,16 +290,16 @@ def count_witnesses(alpha: FixedReal, cfg: ApproxConfig, N: int,
     alpha_f, slope_fs = alpha.raw / SCALE, [s / (1 << 256) for s in slopes]
     # where alpha_f = alpha, p alpha_f is exact in float64 for p <= p_exact:
     # p times the numerator of alpha_f is then an integer up to 2**53
-    alpha_q = Fraction(alpha_f)
-    p_exact = ((1 << 53) // alpha_q.numerator
-               if alpha_q == Fraction(alpha.raw, SCALE) else 0)
+    p_exact = ((1 << 53) // alpha_f.as_integer_ratio()[0]
+               if int(alpha_f * SCALE) == alpha.raw else 0)
     primes = table.primes_between(2, N)
     survivors = []
     for start in range(0, primes.size, SCAN_CHUNK):
         p = primes[start:start + SCAN_CHUNK]
         pf = p.astype(np.float64)
         thr_up = np.power(pf, cfg.exponent) * (1 + 2.0**-40)
-        keep, r = _float_prefilter(pf, alpha_f, thr_up, p <= p_exact)
+        keep, r = _float_prefilter(pf, alpha_f, thr_up,
+                                   np.searchsorted(p, p_exact, side="right"))
         # r = -1 where the prefilter leaves r open
         keep &= (r < 0) | table.prime_flags[np.maximum(r, 0).astype(np.int64)]
         for s in slope_fs:
@@ -700,7 +703,7 @@ def _band_sum(primes: np.ndarray, pf: np.ndarray, eta: np.ndarray,
     n_k = [_window_count(c.raw, e_max) for c in cfg.c.entries]
     n, size = int(i1.max()), pf.size
     xs = [frac_multiples(c, primes[:n]) % 1.0 for c in cfg.c.entries]
-    order = np.argsort(xs[0], kind="stable")  # the key order
+    order = np.argsort(xs[0], kind="stable")
     xs = [x[order] for x in xs]
     # (weight, y, s, v, V) is weight [v < x_2 < V] F(y + s), y = 0 for x_1
     # and 1 for w; a pair (e0, e1) stands for e0 + e1 eta, None for no bound

@@ -549,18 +549,20 @@ class TestCountWitnesses:
                 inside = t in (NEAR, thr - NEAR) or (j and t == 1 + NEAR)
                 assert any(w.p == p for w in tuples) == inside
 
-    @pytest.mark.parametrize("p", [3, 11, 13, 37])
+    @pytest.mark.parametrize("alpha, N, p", [
+        *((1 + Fraction(pow(p, -1, 1 << 52), 1 << 52), p, p)
+          for p in (3, 11, 13, 37)),
+        (1 + Fraction(1, 1 << 120), 2**12, 4091)], ids=str)
     def test_prefilter_keeps_the_margin_where_p_alpha_rounds(
-            self, golden_cfg, table_small, p):
-        # alpha_f = alpha, but p alpha_f needs 54 bits and rounds to the
-        # prime r: frac(p alpha) = 2**-52 > 0, and p is a witness that only
-        # a margin (or the limb test) sees, so the margin-free alpha test
-        # holds only where p alpha_f is exact
-        alpha = FixedReal.from_fraction(
-            1 + Fraction(pow(p, -1, 1 << 52), 1 << 52))
-        assert p * alpha.to_fraction() % 1 == Fraction(1, 1 << 52)
-        got, tuples = count_witnesses(alpha, golden_cfg, p, table_small)
-        want = reference_count_witnesses(alpha, golden_cfg, p, table_small)
+            self, golden_cfg, table_small, alpha, N, p):
+        # fl(p alpha_f) is the prime r, but frac(p alpha) > 0, so p is a
+        # witness that only a margin (or the limb test) sees: the margin-free
+        # alpha test must hold only where alpha_f = alpha and p alpha_f is
+        # exact.  In the first cases alpha_f = alpha and p alpha_f needs 54
+        # bits (frac(p alpha) = 2**-52); in the last alpha_f = 1 != alpha
+        alpha = FixedReal.from_fraction(alpha)
+        got, tuples = count_witnesses(alpha, golden_cfg, N, table_small)
+        want = reference_count_witnesses(alpha, golden_cfg, N, table_small)
         assert p in want
         assert got == len(want) and [t.p for t in tuples] == want
 
